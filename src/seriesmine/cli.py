@@ -7,6 +7,10 @@ Every flag can also be supplied through an environment variable named
 ``MINE_<FLAG>`` (dashes to underscores, upper case). Explicit flags win over
 the environment, the environment wins over the built-in defaults.
 
+``--threads`` (``MINE_THREADS``) is accepted for compatibility and echoed
+under ``parameters``; the scan itself is single-threaded, so the value does
+not change the work done.
+
 Exit codes: 0 success, 2 I/O failure (missing/unreadable files, bad file
 content), 3 validation failure (parameter constraints, non-finite values,
 series too short). Diagnostics are a single line on stderr.
@@ -61,7 +65,9 @@ def _add_common(sub, lengths=True):
                          default=_env_default("lmax"))
     sub.add_argument("--p", type=int, default=_env_default("p", DEFAULTS["p"]))
     sub.add_argument("--threads", type=int,
-                     default=_env_default("threads", DEFAULTS["threads"]))
+                     default=_env_default("threads", DEFAULTS["threads"]),
+                     help="accepted for compatibility and echoed in the output; "
+                          "the scan is single-threaded")
     sub.add_argument("--output", default=_env_default("output"))
     sub.add_argument("--format", choices=["json", "csv"],
                      default=_env_default("format", DEFAULTS["format"]))
@@ -118,20 +124,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _valmp_payload(valmp):
+def _valmp_payload(populated, distances, norm_distances, lengths, indices):
+    """Per-offset best-match vectors; unpopulated offsets serialize as null."""
     def masked(arr, cast=float):
-        return [cast(v) if ok else None for v, ok in zip(arr, valmp.populated)]
+        return [cast(v) if ok else None for v, ok in zip(arr, populated)]
     return {
-        "distances": masked(valmp.distances),
-        "normDistances": masked(valmp.norm_distances),
-        "lengths": masked(valmp.lengths, int),
-        "indices": masked(valmp.indices, int),
+        "distances": masked(distances),
+        "normDistances": masked(norm_distances),
+        "lengths": masked(lengths, int),
+        "indices": masked(indices, int),
     }
 
 
 def _motif_payload(valmp, trace):
     top = top_variable_length_motif(valmp)
-    payload = _valmp_payload(valmp)
+    payload = _valmp_payload(valmp.populated, valmp.distances, valmp.norm_distances,
+                             valmp.lengths, valmp.indices)
     payload["top_motif"] = {
         "offset": top[0], "neighbor": top[1], "length": top[2],
         "distance": top[3], "norm_distance": top[4],
@@ -193,8 +201,7 @@ def _merged_payload(merged):
 def _run_motifs(args, series):
     trace = RunTrace()
     t0 = time.perf_counter()
-    valmp = valmod(series, args.lmin, args.lmax, args.p,
-                   trace=trace, threads=args.threads)
+    valmp = valmod(series, args.lmin, args.lmax, args.p, trace=trace)
     wall = time.perf_counter() - t0
     payload = _motif_payload(valmp, trace if args.trace else None)
     return _io.make_document("motifs", _params(args), series.n, payload, wall)
@@ -204,8 +211,7 @@ def _run_motif_sets(args, series):
     trace = RunTrace()
     ranking = PairRanking(args.top_k)
     t0 = time.perf_counter()
-    valmod(series, args.lmin, args.lmax, args.p,
-           ranking=ranking, trace=trace, threads=args.threads)
+    valmod(series, args.lmin, args.lmax, args.p, ranking=ranking, trace=trace)
     sets = compute_var_length_motif_sets(
         series, ranking, args.radius_factor,
         None if args.min_frequency is None else int(args.min_frequency))
@@ -231,8 +237,7 @@ def _run_discords(args, series):
     trace = RunTrace()
     t0 = time.perf_counter()
     scan = topkm_discord_discovery(series, args.lmin, args.lmax,
-                                   args.k, args.m, args.p,
-                                   trace=trace, threads=args.threads)
+                                   args.k, args.m, args.p, trace=trace)
     wall = time.perf_counter() - t0
     payload = {"merged": _merged_payload(scan.merged)}
     if getattr(args, "per_length", False):
@@ -246,7 +251,7 @@ def _run_discords(args, series):
 
 def _run_mp(args, series):
     t0 = time.perf_counter()
-    res = compute_matrix_profile(series, args.length, args.p, threads=args.threads)
+    res = compute_matrix_profile(series, args.length, args.p)
     wall = time.perf_counter() - t0
     mp = res.profile
     payload = {
@@ -261,15 +266,8 @@ def _run_oracle_motifs(args, series):
     t0 = time.perf_counter()
     res = brute_force_motifs(series, args.lmin, args.lmax, keep_profiles=False)
     wall = time.perf_counter() - t0
-
-    class _V:   # shape the oracle vectors like a VALMP for shared serialization
-        populated = np.isfinite(res.valmp_norm)
-        distances = res.valmp_dist
-        norm_distances = res.valmp_norm
-        lengths = res.valmp_length
-        indices = res.valmp_index
-
-    payload = _valmp_payload(_V)
+    payload = _valmp_payload(np.isfinite(res.valmp_norm), res.valmp_dist,
+                             res.valmp_norm, res.valmp_length, res.valmp_index)
     payload["per_length"] = [
         {"length": length, "offset": pair[0] if pair[0] >= 0 else None,
          "neighbor": pair[1] if pair[0] >= 0 else None,
@@ -294,7 +292,7 @@ def _run_oracle_discords(args, series):
 def _run_bench(args, series):
     trace = RunTrace()
     t0 = time.perf_counter()
-    valmod(series, args.lmin, args.lmax, args.p, trace=trace, threads=args.threads)
+    valmod(series, args.lmin, args.lmax, args.p, trace=trace)
     range_seconds = time.perf_counter() - t0
 
     n_lengths = args.lmax - args.lmin + 1
@@ -304,7 +302,7 @@ def _run_bench(args, series):
     per_length_seconds = []
     for length in sample:
         t0 = time.perf_counter()
-        compute_matrix_profile(series, length, args.p, threads=args.threads)
+        compute_matrix_profile(series, length, args.p)
         per_length_seconds.append(time.perf_counter() - t0)
     baseline = float(np.mean(per_length_seconds)) * n_lengths
     payload = {

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import policy
 from .exceptions import InvalidParametersError
-from .profile import PartialProfiles, compute_matrix_profile, row_profile
+from .profile import (PartialProfiles, compute_matrix_profile, row_best_matches,
+                      row_profile)
 from .series import DataSeries, pair_distance
 from .valmod import validate_range
 
@@ -63,6 +64,12 @@ class VariableLengthDiscordMatrix:
         return cls(np.full((k, m), -np.inf),
                    np.full((k, m), -1, dtype=np.int64),
                    np.zeros((k, m), dtype=np.int64))
+
+
+def validate_counts(k: int, m: int):
+    """The ranking needs at least one discord (k) and one match per discord (m)."""
+    if m < 1 or k < 1:
+        raise InvalidParametersError("k and m must be at least 1")
 
 
 def update_fixed_length_discords(dkm: DiscordMatrix, best_dists: np.ndarray,
@@ -109,20 +116,6 @@ def update_variable_length_discords(dkm: DiscordMatrix,
     return merged
 
 
-def _best_matches(dist_row: np.ndarray, m: int):
-    """(distances ascending, neighbors) of the row's m best matches."""
-    dists = np.full(m, np.inf)
-    nbrs = np.full(m, -1, dtype=np.int64)
-    finite = np.flatnonzero(np.isfinite(dist_row))
-    take = min(m, finite.shape[0])
-    if take:
-        cand = finite[np.argpartition(dist_row[finite], take - 1)[:take]]
-        order = cand[np.lexsort((cand, dist_row[cand]))]
-        dists[:take] = dist_row[order]
-        nbrs[:take] = order
-    return dists, nbrs
-
-
 def _canonical_values(series, owner: int, nbrs: np.ndarray, length: int, m: int):
     """Re-derive the owner's match distances through the symmetric pair kernel.
 
@@ -142,7 +135,7 @@ def _canonical_values(series, owner: int, nbrs: np.ndarray, length: int, m: int)
 
 
 def topkm_next_length(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
-                      new_length: int, k: int, m: int, p: int,
+                      new_length: int, k: int, m: int,
                       counts: dict | None = None) -> DiscordMatrix:
     """One length step of the discord scan, reusing stored entries.
 
@@ -180,12 +173,9 @@ def topkm_next_length(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
             continue
         dist_row, f_row, qt_row = row_profile(series, i, new_length, want_f=True)
         n_recomputed += 1
-        from .profile import _harvest_select
-        sel = _harvest_select(f_row, p)
-        if sel.shape[0]:
-            list_dp.set_row(i, sel, qt_row[sel], dist_row[sel],
-                            m_f=float(f_row[sel].max()), sigma_base=float(sd[i]))
-        best, best_nbrs = _best_matches(dist_row, m)
+        list_dp.harvest_row(i, f_row, qt_row, dist_row, sd[i])
+        best, best_nbrs = np.full(m, np.inf), np.full(m, -1, dtype=np.int64)
+        row_best_matches(dist_row, best, best_nbrs)
         if np.isfinite(best[m - 1]):
             update_fixed_length_discords(
                 dkm, _canonical_values(series, i, best_nbrs, new_length, m),
@@ -205,19 +195,18 @@ class DiscordScan:
 
 def topkm_discord_discovery(series: DataSeries, lmin: int, lmax: int,
                             k: int, m: int, p: int, *,
-                            trace=None, threads: int = 1) -> DiscordScan:
+                            trace=None) -> DiscordScan:
     """Exact Top-k m-th discords for every length in [lmin, lmax], merged.
 
     Requires p >= m: the stored entries must be able to certify m match
     distances per row.
     """
-    if m < 1 or k < 1:
-        raise InvalidParametersError("k and m must be at least 1")
+    validate_counts(k, m)
     if p < m:
         raise InvalidParametersError(f"p ({p}) must be at least m ({m})")
     validate_range(series, lmin, lmax)
 
-    res = compute_matrix_profile(series, lmin, p, m_track=m, threads=threads)
+    res = compute_matrix_profile(series, lmin, p, m_track=m)
     list_dp = res.partials
     n_dp = series.n - lmin + 1
     dkm = DiscordMatrix.empty(k, m, lmin)
@@ -239,7 +228,7 @@ def topkm_discord_discovery(series: DataSeries, lmin: int, lmax: int,
     for length in range(lmin + 1, lmax + 1):
         n_dp = series.n - length + 1
         counts: dict = {}
-        dkm = topkm_next_length(series, n_dp, list_dp, length, k, m, p, counts)
+        dkm = topkm_next_length(series, n_dp, list_dp, length, k, m, counts)
         per_length[length] = dkm
         update_variable_length_discords(dkm, merged, k, m)
         if trace is not None:

@@ -40,10 +40,6 @@ class AllConstantError(SeriesMineError):
     """Every window of the requested length has zero variance."""
 
 
-class NoValidNeighborError(SeriesMineError):
-    """The overlap-exclusion zone covers every candidate neighbor."""
-
-
 class InvalidParametersError(SeriesMineError):
     """Parameter combination violates a documented constraint."""
 

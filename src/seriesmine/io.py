@@ -44,7 +44,7 @@ def read_series(path: str, column: int | None = None) -> DataSeries:
             for lineno, row in enumerate(reader, 1):
                 if not row:
                     continue
-                if column >= len(row):
+                if not 0 <= column < len(row):
                     raise InputFormatError(f"{path}:{lineno}: no column {column}")
                 try:
                     values.append(float(row[column]))

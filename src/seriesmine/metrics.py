@@ -50,9 +50,6 @@ class RunTrace:
     def bump_recomputed(self, length: int, n: int = 1):
         self._by_length[length].n_recomputed += n
 
-    def motifs(self) -> dict[int, tuple]:
-        return {r.length: r.motif for r in self.records}
-
 
 @dataclass
 class PruningReport:

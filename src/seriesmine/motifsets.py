@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import policy
+from .exceptions import InvalidParametersError
 from .profile import PartialDistanceProfile, PartialProfiles, row_profile
 from .series import DataSeries
-from .valmod import VALMP, _apply_update
+from .valmod import VALMP, update_valmp
 
 
 @dataclass
@@ -54,7 +55,7 @@ class PairRanking:
 
     def __init__(self, capacity: int):
         if capacity < 1:
-            raise ValueError("capacity must be at least 1")
+            raise InvalidParametersError(f"top-k must be at least 1 (got {capacity})")
         self.capacity = capacity
         self._keys: list[tuple] = []
         self._items: list[RankedPair] = []
@@ -107,7 +108,7 @@ def update_valmp_for_motif_sets(valmp: VALMP, mp_values, ip, n_dp: int, length: 
     """The ranking-aware profile fold: update the per-offset best matches and
     offer every improving pair to the bounded ranking, attaching partial
     profiles to the pairs that survive in the top K."""
-    idx = _apply_update(valmp, mp_values, ip, n_dp, length)
+    idx = update_valmp(valmp, mp_values, ip, n_dp, length)
     mp_values = np.asarray(mp_values, dtype=np.float64)
     ip = np.asarray(ip)
     for i in idx:

@@ -5,9 +5,10 @@ windows, z-normalize each one explicitly, and take Euclidean distances with
 :func:`scipy.spatial.distance.cdist`. No running sums, no FFT, no dot-product
 reuse — deliberately a separate code path from the engine, so an agreement
 between the two is meaningful. Matching policy (exclusion zone, constant
-windows, tie-breaks) is shared via :mod:`seriesmine.policy`, and discord
-insertion replays the exact routine from :mod:`seriesmine.discords`, because
-those are policy, not arithmetic.
+windows, tie-breaks) is shared via :mod:`seriesmine.policy`, discord
+insertion replays the exact routine from :mod:`seriesmine.discords`, and the
+parameter checks are the engine's own, because those are policy, not
+arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from scipy.spatial.distance import cdist
 
 from . import policy
 from .series import DataSeries
+from .valmod import validate_range
 
 
 def naive_distance_matrix(series: DataSeries, length: int) -> np.ndarray:
@@ -77,6 +79,7 @@ def brute_force_motifs(series: DataSeries, lmin: int, lmax: int,
     the same strictly-improving, shortest-length-wins update rule as the
     engine, processing lengths in ascending order.
     """
+    validate_range(series, lmin, lmax)
     n_min = series.n - lmin + 1
     norm = np.full(n_min, np.inf)
     dist = np.full(n_min, np.inf)
@@ -128,8 +131,10 @@ def brute_force_discords(series: DataSeries, lmin: int, lmax: int, k: int, m: in
     length-normalized distances.
     """
     from .discords import DiscordMatrix, VariableLengthDiscordMatrix, \
-        update_fixed_length_discords, update_variable_length_discords
+        update_fixed_length_discords, update_variable_length_discords, validate_counts
 
+    validate_counts(k, m)
+    validate_range(series, lmin, lmax)
     merged = VariableLengthDiscordMatrix.empty(k, m)
     per_length = {}
     for length in range(lmin, lmax + 1):

@@ -19,11 +19,6 @@ def exclusion_zone(length: int) -> int:
     return -(-length // 2)
 
 
-def is_trivial(i: int, j: int, length: int) -> bool:
-    """True when windows at offsets i and j overlap too much to be a valid match."""
-    return abs(i - j) < exclusion_zone(length)
-
-
 def sigma_floor(values) -> float:
     """Std-dev threshold below which a window counts as constant.
 

@@ -1,11 +1,10 @@
 """Full matrix profile for one length, harvesting reusable neighbor entries.
 
 The scan follows the classic O(n^2) dot-product recursion: one FFT-seeded
-dot-product vector per chunk of rows, each subsequent row derived from the
-previous in O(n). Row computations inside a chunk are sequentially dependent;
-chunks are independent, so a thread pool may process them concurrently. The
-chunk grid is a fixed constant (independent of the worker count), which makes
-the output bit-identical for any ``threads`` setting.
+dot-product vector per chunk of ``CHUNK_ROWS`` rows, each subsequent row
+derived from the previous in O(n) by ``series.advance_dot_products``. The
+scan is single-threaded. The fixed chunk grid and its per-chunk FFT re-seed
+stay, because they define the output bits.
 
 While each distance row is in hand, the scan keeps, per row, the ``p``
 entries with the smallest extension lower bound. Those partial profiles are
@@ -20,7 +19,6 @@ certification threshold the drivers compare true distances against.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +27,9 @@ from . import policy
 from .exceptions import (
     AllConstantError,
     InvalidParametersError,
-    NoValidNeighborError,
     SeriesTooShortError,
 )
-from .series import DataSeries, sliding_dot_product
+from .series import DataSeries, advance_dot_products, sliding_dot_product
 
 CHUNK_ROWS = 2048
 
@@ -102,6 +99,16 @@ class PartialProfiles:
         self.sigma_base[i] = sigma_base
         self.m_f[i] = m_f
 
+    def harvest_row(self, i: int, f_row: np.ndarray, qt_row: np.ndarray,
+                    dist: np.ndarray, sigma_base: float):
+        """Refresh row i from its full bound-factor, dot-product and distance
+        rows at the current length: store the ``p`` entries with the smallest
+        bound factors. A row with no finite factor keeps its old entries."""
+        sel = _harvest_select(f_row, self.p)
+        if sel.shape[0]:
+            self.set_row(i, sel, qt_row[sel], dist[sel],
+                         m_f=float(f_row[sel].max()), sigma_base=float(sigma_base))
+
     def advance(self, new_length: int):
         """Grow every live entry by one length step in O(1) each.
 
@@ -130,14 +137,10 @@ class PartialProfiles:
                out=self.qt, where=valid)
         nbr_sd = sd[safe_nbr]
         valid &= nbr_sd >= self.series.sigma_floor
-        own_mu = mu[np.clip(self._owners, 0, n_dp - 1)]
-        own_sd = sd[np.clip(self._owners, 0, n_dp - 1)]
-        denom = length * own_sd * np.where(valid, nbr_sd, 1.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q_raw = (self.qt - length * own_mu * mu[safe_nbr]) / denom
-            rad = 2.0 * length * (1.0 - q_raw)
-        np.maximum(rad, 0.0, out=rad)
-        self.dist = np.where(valid, np.sqrt(rad), np.inf)
+        own = np.clip(self._owners, 0, n_dp - 1)
+        _, dist = _z_dist(self.qt, length, mu[own], sd[own],
+                          mu[safe_nbr], np.where(valid, nbr_sd, 1.0))
+        self.dist = np.where(valid, dist, np.inf)
         self.alive = valid
         self.length = length
 
@@ -165,15 +168,6 @@ class PartialProfiles:
         counts = self.alive.sum(axis=1)
         nbr_min = np.where(np.isfinite(dmin), nbr_min, -1)
         return dmin, nbr_min, counts
-
-    def sorted_row_dists(self, i: int, m: int) -> np.ndarray:
-        """The row's m smallest live distances, ascending, inf-padded."""
-        d = self.dist[i][self.alive[i]]
-        out = np.full(m, np.inf)
-        take = min(m, d.shape[0])
-        if take:
-            out[:take] = np.sort(np.partition(d, take - 1)[:take])
-        return out
 
     def sorted_row_matches(self, i: int, m: int):
         """The row's m best matches: (distances ascending, neighbor offsets)."""
@@ -232,6 +226,20 @@ def _harvest_select(f_row: np.ndarray, p: int):
     return sel.astype(np.int64)
 
 
+def _z_dist(qt, length: int, mu_a, sd_a, mu_b, sd_b):
+    """Correlation ``q_raw`` and z-normalized distance from dot products.
+
+    ``qt`` is an array; the stats broadcast against it. The radicand is
+    clamped at zero. Cells with a zero std come out meaningless, and callers
+    mask them.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q_raw = (qt - length * mu_a * mu_b) / (length * sd_a * sd_b)
+        rad = 2.0 * length * (1.0 - q_raw)
+    np.maximum(rad, 0.0, out=rad)
+    return q_raw, np.sqrt(rad)
+
+
 def _row_arrays(series: DataSeries, qt_row: np.ndarray, i: int, length: int,
                 mu: np.ndarray, sd: np.ndarray, valid_nbr: np.ndarray,
                 want_f: bool = True):
@@ -242,12 +250,7 @@ def _row_arrays(series: DataSeries, qt_row: np.ndarray, i: int, length: int,
     n_dp = mu.shape[0]
     excl = policy.exclusion_zone(length)
     lo, hi = max(0, i - excl + 1), min(n_dp, i + excl)
-    denom = length * sd[i] * sd
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q_raw = (qt_row - length * mu[i] * mu) / denom
-        rad = 2.0 * length * (1.0 - q_raw)
-    np.maximum(rad, 0.0, out=rad)
-    dist = np.sqrt(rad)
+    q_raw, dist = _z_dist(qt_row, length, mu[i], sd[i], mu, sd)
     dist[~valid_nbr] = np.inf
     dist[lo:hi] = np.inf
     if not want_f:
@@ -269,37 +272,30 @@ def row_profile(series: DataSeries, i: int, length: int, want_f: bool = False):
     return dist, f_row, qt_row
 
 
-def min_with_exclusion(row: np.ndarray, i: int, length: int):
-    """Minimum of a distance row outside the trivial-match zone of offset i.
+def row_best_matches(dist: np.ndarray, dists_out: np.ndarray, nbrs_out: np.ndarray):
+    """Write the row's m best finite matches into the length-m outputs.
 
-    Ties break toward the smaller offset. Raises NoValidNeighborError when
-    the exclusion zone (plus invalid cells) covers everything.
+    Distances ascending, smaller offset first on ties; slots beyond the
+    row's finite cells keep their previous contents.
     """
-    excl = policy.exclusion_zone(length)
-    masked = row.copy()
-    lo, hi = max(0, i - excl + 1), min(row.shape[0], i + excl)
-    masked[lo:hi] = np.inf
-    j = int(np.argmin(masked))
-    if not np.isfinite(masked[j]):
-        raise NoValidNeighborError(f"no valid neighbor for offset {i} at length {length}")
-    return float(masked[j]), j
+    m = dists_out.shape[0]
+    finite = np.flatnonzero(np.isfinite(dist))
+    take = min(m, finite.shape[0])
+    if take:
+        cand = finite[np.argpartition(dist[finite], take - 1)[:take]]
+        order = cand[np.lexsort((cand, dist[cand]))]
+        dists_out[:take] = dist[order]
+        nbrs_out[:take] = order
 
 
-def _scan_chunk(series, length, p, m_track, start, stop,
+def _scan_chunk(series, length, m_track, start, stop,
                 mu, sd, valid_nbr, mp, ip, partials, best_m, best_m_nbr):
     """STOMP recursion over rows [start, stop), seeded by one FFT pass."""
-    t = series.values
-    n_dp = mu.shape[0]
     floor = series.sigma_floor
     qt = sliding_dot_product(series.window(start, length), series)
     for i in range(start, stop):
         if i > start:
-            prev = qt
-            qt = np.empty_like(prev)
-            qt[1:] = (prev[:n_dp - 1]
-                      - t[:n_dp - 1] * t[i - 1]
-                      + t[length:length + n_dp - 1] * t[i + length - 1])
-            qt[0] = np.dot(t[i:i + length], t[:length])
+            qt = advance_dot_products(qt, series, i, length)
         if sd[i] < floor:
             mp[i] = np.inf
             ip[i] = -1
@@ -312,22 +308,13 @@ def _scan_chunk(series, length, p, m_track, start, stop,
         else:
             mp[i] = np.inf
             ip[i] = -1
-        sel = _harvest_select(f_row, p)
-        if sel.shape[0]:
-            partials.set_row(i, sel, qt[sel], dist[sel],
-                             m_f=float(f_row[sel].max()), sigma_base=float(sd[i]))
+        partials.harvest_row(i, f_row, qt, dist, sd[i])
         if m_track:
-            finite = np.flatnonzero(np.isfinite(dist))
-            take = min(m_track, finite.shape[0])
-            if take:
-                cand = finite[np.argpartition(dist[finite], take - 1)[:take]]
-                order = cand[np.lexsort((cand, dist[cand]))]
-                best_m[i, :take] = dist[order]
-                best_m_nbr[i, :take] = order
+            row_best_matches(dist, best_m[i], best_m_nbr[i])
 
 
 def compute_matrix_profile(series: DataSeries, length: int, p: int,
-                           m_track: int = 0, threads: int = 1) -> ProfileResult:
+                           m_track: int = 0) -> ProfileResult:
     """Exact matrix profile at one length plus per-row partial profiles.
 
     Parameters
@@ -340,8 +327,6 @@ def compute_matrix_profile(series: DataSeries, length: int, p: int,
     m_track : int
         When positive, additionally record each row's m smallest true
         distances (ascending) — the raw material for anomaly ranking.
-    threads : int
-        Worker threads over row chunks. Any value yields identical output.
     """
     n = series.n
     if length < 4 or 2 * length > n:
@@ -359,19 +344,7 @@ def compute_matrix_profile(series: DataSeries, length: int, p: int,
     partials = PartialProfiles(series, n_dp, p, length)
     best_m = np.full((n_dp, m_track), np.inf) if m_track else None
     best_m_nbr = np.full((n_dp, m_track), -1, dtype=np.int64) if m_track else None
-
-    starts = list(range(0, n_dp, CHUNK_ROWS))
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_scan_chunk, series, length, p, m_track,
-                                   s, min(s + CHUNK_ROWS, n_dp),
-                                   mu, sd, valid_nbr, mp, ip, partials,
-                                   best_m, best_m_nbr)
-                       for s in starts]
-            for fut in futures:
-                fut.result()
-    else:
-        for s in starts:
-            _scan_chunk(series, length, p, m_track, s, min(s + CHUNK_ROWS, n_dp),
-                        mu, sd, valid_nbr, mp, ip, partials, best_m, best_m_nbr)
+    for s in range(0, n_dp, CHUNK_ROWS):
+        _scan_chunk(series, length, m_track, s, min(s + CHUNK_ROWS, n_dp),
+                    mu, sd, valid_nbr, mp, ip, partials, best_m, best_m_nbr)
     return ProfileResult(MatrixProfile(mp, ip, length), partials, best_m, best_m_nbr)

@@ -157,15 +157,6 @@ def advance_dot_products(qt: np.ndarray, series: DataSeries, i: int, length: int
     return out
 
 
-def extend_dot_product(qt: float, series: DataSeries, i: int, j: int, length: int) -> float:
-    """Grow a known dot product of the windows at (i, j) from length L to L+1."""
-    if i + length >= series.n or j + length >= series.n:
-        raise OutOfRangeError(
-            f"cannot extend windows ({i}, {j}) beyond length {length} in {series.n} points")
-    t = series.values
-    return qt + t[i + length] * t[j + length]
-
-
 def pair_distance(series: DataSeries, i: int, j: int, length: int) -> float:
     """Distance of one window pair, bit-identical for (i, j) and (j, i).
 

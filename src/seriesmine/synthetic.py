@@ -66,25 +66,3 @@ def planted_motif_benchmark(n: int, pattern_length: int, seed: int = 0) -> np.nd
     t[b:b + pattern_length] = pattern * 4.0 + 0.01 * ramp * signs
     return t
 
-
-def taxi_like_series(days: int = 75, samples_per_day: int = 48,
-                     anomaly_day: int = 33, seed: int = 7) -> np.ndarray:
-    """Periodic half-hourly ridership shape with a double-count splice.
-
-    Two consecutive samples in the small hours of one day absorb the two
-    samples that follow them — the same corruption a clock set back one hour
-    inflicts on an unadjusted accumulator.
-    """
-    rng = np.random.default_rng(seed)
-    hours = (np.arange(samples_per_day) + 0.5) / samples_per_day * 24.0
-    daily = (12.0
-             + 8.0 * np.exp(-0.5 * ((hours - 9.0) / 2.0) ** 2)
-             + 10.0 * np.exp(-0.5 * ((hours - 19.0) / 2.5) ** 2)
-             - 7.0 * np.exp(-0.5 * ((hours - 3.5) / 2.0) ** 2))
-    t = np.tile(daily, days)
-    weekly = 1.0 + 0.15 * np.sin(2 * np.pi * np.arange(t.size) / (7 * samples_per_day))
-    t = t * weekly + rng.normal(0.0, 0.35, t.size)
-    splice = anomaly_day * samples_per_day + 4   # 02:00 slot
-    t[splice] += t[splice + 2]
-    t[splice + 1] += t[splice + 3]
-    return t

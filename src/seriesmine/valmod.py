@@ -54,10 +54,11 @@ class VALMP:
         return self.n_offsets
 
 
-def _apply_update(valmp: VALMP, mp_values, ip, n_dp: int, length: int) -> np.ndarray:
+def update_valmp(valmp: VALMP, mp_values, ip, n_dp: int, length: int) -> np.ndarray:
     """Fold one length's profile values in; returns the offsets that improved.
 
-    Strict improvement only — on a tie the earlier (shorter) entry stays.
+    An entry is replaced when the new normalized distance is strictly
+    smaller — on a tie the earlier (shorter) entry stays.
     """
     mp_values = np.asarray(mp_values, dtype=np.float64)[:n_dp]
     ip = np.asarray(ip)[:n_dp]
@@ -71,12 +72,6 @@ def _apply_update(valmp: VALMP, mp_values, ip, n_dp: int, length: int) -> np.nda
     valmp.indices[idx] = ip[idx]
     valmp.populated[idx] = True
     return idx
-
-
-def update_valmp(valmp: VALMP, mp_values, ip, n_dp: int, length: int) -> VALMP:
-    """Replace any entry whose stored normalized distance exceeds the new one."""
-    _apply_update(valmp, mp_values, ip, n_dp, length)
-    return valmp
 
 
 def certify_step(min_dists: np.ndarray, thresholds: np.ndarray):
@@ -141,7 +136,7 @@ def compute_sub_mp(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
     if not b_best_m and len(nonvalid_rows) < n_dp * math.log(p) / math.log(max(n_dp, 2)):
         for i in nonvalid_rows:
             if thr[i] < min_dist_abs:
-                _recompute_row(series, list_dp, int(i), new_length, p, values, indices)
+                _recompute_row(series, list_dp, int(i), new_length, sd, values, indices)
                 result.n_recomputed += 1
             else:
                 result.floors.append((int(i), float(thr[i])))
@@ -151,20 +146,14 @@ def compute_sub_mp(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
     return result
 
 
-def _recompute_row(series, list_dp, i, length, p, values, indices):
+def _recompute_row(series, list_dp, i, length, sd, values, indices):
     """Exact row rescan: write its true minimum and refresh its stored entries."""
-    from .profile import _harvest_select
-
     dist, f_row, qt_row = row_profile(series, i, length, want_f=True)
     j = int(np.argmin(dist))
     if np.isfinite(dist[j]):
         values[i] = dist[j]
         indices[i] = j
-    sel = _harvest_select(f_row, p)
-    if sel.shape[0]:
-        _, sd = series.moving_stats(length)
-        list_dp.set_row(i, sel, qt_row[sel], dist[sel],
-                        m_f=float(f_row[sel].max()), sigma_base=float(sd[i]))
+    list_dp.harvest_row(i, f_row, qt_row, dist, sd[i])
 
 
 def _written_motif(values: np.ndarray, indices: np.ndarray):
@@ -190,7 +179,7 @@ def validate_range(series: DataSeries, lmin: int, lmax: int):
 
 
 def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
-           ranking=None, trace=None, threads: int = 1) -> VALMP:
+           ranking=None, trace=None) -> VALMP:
     """Exact best match per offset over every window length in [lmin, lmax].
 
     Parameters
@@ -206,8 +195,6 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
         pair ranking (the motif-set front end).
     trace : RunTrace, optional
         Collects per-length pruning counts and motif summaries.
-    threads : int
-        Worker threads for the full scans; output is identical for any value.
     """
     validate_range(series, lmin, lmax)
     if p < 1:
@@ -218,10 +205,10 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
 
     def fold(valmp, mp_values, ip, n_dp, length, partials):
         if ranking is None:
-            return _apply_update(valmp, mp_values, ip, n_dp, length)
+            return update_valmp(valmp, mp_values, ip, n_dp, length)
         return _ms_update(valmp, mp_values, ip, n_dp, length, partials, ranking)
 
-    res = compute_matrix_profile(series, lmin, p, threads=threads)
+    res = compute_matrix_profile(series, lmin, p)
     partials = res.partials
     n0 = series.n - lmin + 1
     valmp = VALMP(n0)
@@ -243,7 +230,7 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
             full = False
             n_recomputed = sub.n_recomputed
         else:
-            res = compute_matrix_profile(series, length, p, threads=threads)
+            res = compute_matrix_profile(series, length, p)
             partials = res.partials
             fold(valmp, res.profile.mp, res.profile.ip, n_dp, length, partials)
             motif = _written_motif(res.profile.mp, res.profile.ip)

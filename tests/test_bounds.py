@@ -1,9 +1,19 @@
+"""Extension lower bound, checked on the engine's own vectorized kernels.
+
+For an owner window i and a neighbor j at base length L, ``row_profile``
+gives the bound factor ``f_row[j] = sqrt(L * (1 - max(q, 0)^2))``; at any
+longer length L+k the bound is ``f_row[j] * sd_L[i] / sd_{L+k}[i]`` (the
+owner is the anchor). ``PartialProfiles`` keeps the p smallest factors per
+row, extends their dot products one length at a time, and certifies with
+the scaled harvest maximum ``thresholds()``.
+"""
+
 import numpy as np
 import pytest
 
 import seriesmine as sm
-from seriesmine.bounds import ProfileEntry
-from seriesmine.exceptions import OutOfRangeError, ZeroVarianceError
+from seriesmine.oracle import naive_distance_matrix
+from seriesmine.profile import _z_dist, compute_matrix_profile, row_profile
 
 
 def _naive_znorm(a, b):
@@ -12,18 +22,34 @@ def _naive_znorm(a, b):
     return float(np.sqrt(((za - zb) ** 2).sum()))
 
 
+def _q(t, i, j, length):
+    """Correlation of windows i and j from the live z-distance kernel."""
+    mu, sd = t.moving_stats(length)
+    qt = np.array([np.dot(t.window(i, length), t.window(j, length))])
+    q_raw, _ = _z_dist(qt, length, mu[i], sd[i], mu[j], sd[j])
+    return float(q_raw[0])
+
+
+def _scaled_bound(f_row, t, i, length, k):
+    """Bound at length+k for every neighbor of owner i."""
+    sd_l = t.moving_stats(length)[1][i]
+    sd_t = t.moving_stats(length + k)[1][i]
+    return f_row * sd_l / sd_t
+
+
 def test_q_value_self_correlation():
     rng = np.random.default_rng(0)
     t = sm.ingest(np.tile(rng.standard_normal(16), 3))
-    qt = float(np.dot(t.window(0, 16), t.window(16, 16)))
-    assert sm.q_value(qt, t.stats(0, 16), t.stats(16, 16)) == pytest.approx(1.0, abs=1e-9)
+    assert _q(t, 0, 16, 16) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_q_value_anticorrelated():
     w = np.arange(1.0, 9.0)
     t = sm.ingest(np.concatenate([w, -w]))
-    qt = float(np.dot(t.window(0, 8), t.window(8, 8)))
-    assert sm.q_value(qt, t.stats(0, 8), t.stats(8, 8)) == pytest.approx(-1.0, abs=1e-9)
+    assert _q(t, 0, 8, 8) == pytest.approx(-1.0, abs=1e-9)
+    # an anti-correlated pair gets the largest factor, sqrt(L)
+    _, f_row, _ = row_profile(t, 0, 8, want_f=True)
+    assert f_row[8] == pytest.approx(np.sqrt(8.0), rel=1e-12)
 
 
 def test_q_value_matches_pearson():
@@ -31,84 +57,96 @@ def test_q_value_matches_pearson():
     t = sm.ingest(rng.standard_normal(200))
     length = 32
     for i, j in [(0, 64), (10, 150), (99, 40)]:
-        a, b = t.window(i, length), t.window(j, length)
-        qt = float(np.dot(a, b))
-        expected = float(np.corrcoef(a, b)[0, 1])
-        assert sm.q_value(qt, t.stats(i, length), t.stats(j, length)) == \
-            pytest.approx(expected, rel=1e-9)
+        expected = float(np.corrcoef(t.window(i, length), t.window(j, length))[0, 1])
+        assert _q(t, i, j, length) == pytest.approx(expected, rel=1e-9)
 
 
 def test_q_value_zero_variance():
+    # a constant neighbor window gets neither a distance nor a bound
     t = sm.ingest(np.concatenate([np.full(8, 2.0), np.arange(8.0)]))
-    with pytest.raises(ZeroVarianceError):
-        sm.q_value(16.0, t.stats(0, 8), t.stats(8, 8))
+    dist, f_row, _ = row_profile(t, 8, 8, want_f=True)
+    assert dist[0] == np.inf and f_row[0] == np.inf
 
 
 def test_lower_bound_perfect_correlation_is_zero():
-    lb = sm.lower_bound(1.0, 2.0, 3.0, 16)
-    assert lb.value == 0.0
+    rng = np.random.default_rng(0)
+    t = sm.ingest(np.tile(rng.standard_normal(16), 3))
+    _, f_row, _ = row_profile(t, 0, 16, want_f=True)
+    assert f_row[16] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_lower_bound_zero_correlation_formula():
-    # q=0, unit sigma ratio, length 16 -> sqrt(16) = 4
-    lb = sm.lower_bound(0.0, 1.5, 1.5, 16)
-    assert lb.value == pytest.approx(4.0, rel=1e-12)
-    assert lb.base_length == 16 and lb.target_length == 17
+    # orthogonal zero-mean windows: q = 0, so the factor is sqrt(L) = 4
+    a = np.array([1.0, -1.0] * 8)
+    b = np.array([1.0, 1.0, -1.0, -1.0] * 4)
+    t = sm.ingest(np.concatenate([a, b]))
+    assert _q(t, 0, 16, 16) == pytest.approx(0.0, abs=1e-12)
+    _, f_row, _ = row_profile(t, 0, 16, want_f=True)
+    assert f_row[16] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_lower_bound_soundness_random_pairs():
-    # bound from base length <= true distance at every extended length
+    # bound from the base length <= true distance at every extended length
     rng = np.random.default_rng(2)
     t = sm.ingest(np.cumsum(rng.standard_normal(400)))
     length = 32
-    violations = 0
+    sd = {k: t.moving_stats(length + k)[1] for k in range(length + 1)}
+    violations = checked = 0
     for _ in range(200):
-        i, j = rng.integers(0, t.n - 2 * length, size=2)
+        i, j = (int(v) for v in rng.integers(0, t.n - 2 * length, size=2))
         if abs(i - j) < length:
             continue
-        qt = float(np.dot(t.window(i, length), t.window(j, length)))
-        q = sm.q_value(qt, t.stats(i, length), t.stats(j, length))
+        _, f_row, _ = row_profile(t, i, length, want_f=True)
         for k in range(1, length + 1):
-            sigma_t = t.stats(j, length + k).sigma
-            lb = sm.lower_bound(q, t.stats(j, length).sigma, sigma_t, length,
-                                target_length=length + k)
+            lb = f_row[j] * sd[0][i] / sd[k][i]
             true = _naive_znorm(t.window(i, length + k), t.window(j, length + k))
-            if lb.value > true + 1e-9:
-                violations += 1
-    assert violations == 0
+            violations += lb > true + 1e-9
+            checked += 1
+    assert checked > 1000 and violations == 0
 
 
 def test_scale_bound_unchanged_for_equal_sigmas():
-    lb = sm.lower_bound(0.5, 2.0, 2.0, 16)
-    scaled = sm.scale_bound(lb, 1.7, 1.7)
-    assert scaled.value == lb.value
-    assert scaled.target_length == lb.target_length + 1
+    # at the harvest length the threshold is the harvest maximum itself
+    rng = np.random.default_rng(3)
+    t = sm.ingest(np.cumsum(rng.standard_normal(300)))
+    partials = compute_matrix_profile(t, 24, 5).partials
+    thr = partials.thresholds()
+    live = partials.owner_ok
+    assert live.any()
+    assert np.allclose(thr[live], partials.m_f[live], rtol=1e-14, atol=0.0)
 
 
 def test_scale_bound_twice_equals_direct():
+    # three single-length steps land on the direct base-to-target scaling
     rng = np.random.default_rng(3)
     t = sm.ingest(np.cumsum(rng.standard_normal(300)))
-    length, i, j = 24, 10, 120
-    qt = float(np.dot(t.window(i, length), t.window(j, length)))
-    q = sm.q_value(qt, t.stats(i, length), t.stats(j, length))
-    s = lambda L: t.stats(j, L).sigma
-    lb1 = sm.lower_bound(q, s(length), s(length + 1), length)
-    lb3 = sm.scale_bound(sm.scale_bound(lb1, s(length + 1), s(length + 2)),
-                         s(length + 2), s(length + 3))
-    direct = sm.lower_bound(q, s(length), s(length + 3), length,
-                            target_length=length + 3)
-    assert lb3.value == pytest.approx(direct.value, rel=1e-12)
-    assert lb3.target_length == direct.target_length
+    length = 24
+    partials = compute_matrix_profile(t, length, 5).partials
+    m_f = partials.m_f.copy()
+    for new_length in range(length + 1, length + 4):
+        partials.advance(new_length)
+    thr = partials.thresholds()
+    sd_l = t.moving_stats(length)[1]
+    sd_t = t.moving_stats(length + 3)[1]
+    live = np.flatnonzero(partials.owner_ok)
+    assert live.size
+    assert np.allclose(thr[live], m_f[live] * sd_l[live] / sd_t[live], rtol=1e-12, atol=0.0)
 
 
 def test_scale_bound_preserves_order():
-    # one shared positive factor cannot reorder a profile's bounds
+    # one shared positive factor per row cannot reorder it: the stored
+    # entries keep the smallest bounds at every longer length
     rng = np.random.default_rng(4)
-    bounds = [sm.lower_bound(q, 1.0, 1.0, 16) for q in rng.uniform(-1, 1, 50)]
-    order_before = np.argsort([b.value for b in bounds], kind="stable")
-    scaled = [sm.scale_bound(b, 1.3, 0.7) for b in bounds]
-    order_after = np.argsort([b.value for b in scaled], kind="stable")
-    assert np.array_equal(order_before, order_after)
+    t = sm.ingest(np.cumsum(rng.standard_normal(300)))
+    length, p = 16, 5
+    partials = compute_matrix_profile(t, length, p).partials
+    for i in range(0, t.n - 2 * length, 17):
+        _, f_row, _ = row_profile(t, i, length, want_f=True)
+        stored = partials.nbr[i][partials.alive[i]]
+        others = np.setdiff1d(np.flatnonzero(np.isfinite(f_row)), stored)
+        for k in (1, 5, 16):
+            scaled = _scaled_bound(f_row, t, i, length, k)
+            assert scaled[stored].max() <= scaled[others].min()
 
 
 def test_update_dist_and_lb_planted_identical_pair():
@@ -118,53 +156,70 @@ def test_update_dist_and_lb_planted_identical_pair():
     t_values[10:50] = pattern
     t_values[120:160] = pattern
     t = sm.ingest(t_values)
-    length = 16
-    qt = float(np.dot(t.window(10, length), t.window(120, length)))
-    entry = ProfileEntry(owner=10, neighbor=120, qt=qt, dist=0.0, lb=0.0)
-    for new_length in range(length + 1, 41):
-        entry = sm.update_dist_and_lb(entry, t, new_length)
-        assert entry.dist == pytest.approx(0.0, abs=1e-6)
+    partials = compute_matrix_profile(t, 16, 5).partials
+    slot = int(np.flatnonzero(partials.nbr[10] == 120)[0])
+    for new_length in range(17, 41):
+        partials.advance(new_length)
+        assert partials.alive[10, slot]
+        assert partials.dist[10, slot] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_update_dist_and_lb_matches_scratch():
     rng = np.random.default_rng(6)
     t = sm.ingest(np.cumsum(rng.standard_normal(1000)))
-    i, j = 40, 500
-    length = 16
-    qt = float(np.dot(t.window(i, length), t.window(j, length)))
-    entry = ProfileEntry(owner=i, neighbor=j, qt=qt, dist=0.0, lb=0.0)
+    partials = compute_matrix_profile(t, 16, 5).partials
     for new_length in range(17, 33):
-        entry = sm.update_dist_and_lb(entry, t, new_length)
-        expected = _naive_znorm(t.window(i, new_length), t.window(j, new_length))
-        assert entry.dist == pytest.approx(expected, abs=1e-7)
+        partials.advance(new_length)
+        for i in range(0, t.n - new_length + 1, 37):
+            for j, d in zip(partials.nbr[i][partials.alive[i]],
+                            partials.dist[i][partials.alive[i]]):
+                expected = _naive_znorm(t.window(i, new_length), t.window(int(j), new_length))
+                assert d == pytest.approx(expected, abs=1e-7)
 
 
 def test_update_dist_and_lb_out_of_range():
+    # an entry dies when its neighbor window leaves the series
     rng = np.random.default_rng(7)
     t = sm.ingest(rng.standard_normal(100))
-    new_length = 20
-    entry = ProfileEntry(owner=0, neighbor=t.n - new_length + 1, qt=0.0,
-                         dist=0.0, lb=0.0)
-    with pytest.raises(OutOfRangeError):
-        sm.update_dist_and_lb(entry, t, new_length)
+    partials = compute_matrix_profile(t, 19, t.n).partials
+    last = t.n - 19          # the last neighbor offset that exists at length 19
+    assert partials.alive[0, partials.nbr[0] == last].tolist() == [True]
+    partials.advance(20)
+    assert not (partials.alive & (partials.nbr >= last)).any()
+    assert not partials.owner_ok[last:].any()
+
+
+def test_thresholds_bound_unstored_pairs_after_advance():
+    # certification soundness: after k steps no pair outside a row's stored
+    # entries lies below that row's threshold
+    rng = np.random.default_rng(9)
+    t = sm.ingest(np.cumsum(rng.standard_normal(250)))
+    length, p = 12, 4
+    partials = compute_matrix_profile(t, length, p).partials
+    for new_length in range(length + 1, length + 13):
+        partials.advance(new_length)
+        truth = naive_distance_matrix(t, new_length)
+        thr = partials.thresholds()
+        for i in np.flatnonzero(partials.owner_ok):
+            unstored = np.ones(truth.shape[1], dtype=bool)
+            unstored[partials.nbr[i][partials.alive[i]]] = False
+            row = truth[i][unstored]
+            assert np.all(row[np.isfinite(row)] >= thr[i] - 1e-9), (new_length, i)
 
 
 def test_exhaustive_soundness_small_series():
-    # every pair, base 16, every extension up to 16: bound never exceeds truth
+    # every sampled owner against every neighbor, extensions 1, 5 and 16
     rng = np.random.default_rng(8)
     t = sm.ingest(np.cumsum(rng.standard_normal(200)))
     length = 16
+    truth = {k: naive_distance_matrix(t, length + k) for k in (1, 5, 16)}
     n_pairs = 0
-    for j in range(0, t.n - 2 * length, 7):
-        sig = {k: t.stats(j, length + k).sigma for k in range(length + 1)}
-        for i in range(0, t.n - 2 * length, 5):
-            if abs(i - j) < 8:
-                continue
-            qt = float(np.dot(t.window(i, length), t.window(j, length)))
-            q = sm.q_value(qt, t.stats(i, length), t.stats(j, length))
-            for k in (1, 5, 16):
-                lb = sm.lower_bound(q, sig[0], sig[k], length)
-                true = _naive_znorm(t.window(i, length + k), t.window(j, length + k))
-                assert lb.value <= true + 1e-9
-                n_pairs += 1
+    for i in range(0, t.n - 2 * length, 5):
+        _, f_row, _ = row_profile(t, i, length, want_f=True)
+        for k, dists in truth.items():
+            n_dp = dists.shape[1]
+            lb = _scaled_bound(f_row, t, i, length, k)[:n_dp]
+            ok = np.isfinite(lb) & np.isfinite(dists[i])
+            assert np.all(lb[ok] <= dists[i][ok] + 1e-9)
+            n_pairs += int(ok.sum())
     assert n_pairs > 1000

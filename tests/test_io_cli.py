@@ -133,6 +133,27 @@ def test_validation_exit_code_names_constraint(series_file, capsys):
     assert "p" in err and "m" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["motif-sets", "--lmin", "8", "--lmax", "16", "--top-k", "0"],
+    ["oracle", "discords", "--lmin", "16", "--lmax", "24", "--m", "0"],
+    ["oracle", "discords", "--lmin", "16", "--lmax", "24", "--k", "0"],
+    ["oracle", "motifs", "--lmin", "2", "--lmax", "8"],
+    ["oracle", "motifs", "--lmin", "8", "--lmax", "300"],
+])
+def test_rejected_parameters_exit_3(series_file, argv, capsys):
+    assert main(argv + ["--input", series_file]) == 3
+    assert capsys.readouterr().err.startswith("mine: validation error:")
+
+
+def test_negative_column_rejected(tmp_path):
+    path = tmp_path / "s.csv"
+    values = random_walk(12, seed=1)
+    path.write_text("".join(f"{i},{float(v)!r}\n" for i, v in enumerate(values)))
+    with pytest.raises(InputFormatError):
+        read_series(str(path), column=-1)
+    assert main(["mp", "--input", str(path), "--column", "-1", "--length", "4"]) == 2
+
+
 def test_io_exit_code_for_missing_file(capsys):
     rc = main(["motifs", "--input", "/nonexistent/series.txt",
                "--lmin", "8", "--lmax", "16"])

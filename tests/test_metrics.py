@@ -26,21 +26,20 @@ def test_mean_tlb_over_profile_in_unit_interval():
     rng = np.random.default_rng(0)
     t = sm.ingest(np.cumsum(rng.standard_normal(300)))
     length = 16
+    sd_l, sd_next = t.moving_stats(length)[1], t.moving_stats(length + 1)[1]
     ratios = []
     for _ in range(100):
-        i, j = rng.integers(0, t.n - 2 * length, size=2)
+        i, j = (int(v) for v in rng.integers(0, t.n - 2 * length, size=2))
         if abs(i - j) < 8:
             continue
-        qt = float(np.dot(t.window(i, length), t.window(j, length)))
-        q = sm.q_value(qt, t.stats(i, length), t.stats(j, length))
-        lb = sm.lower_bound(q, t.stats(j, length).sigma,
-                            t.stats(j, length + 1).sigma, length)
+        _, f_row, _ = sm.row_profile(t, i, length, want_f=True)
+        lb = f_row[j] * sd_l[i] / sd_next[i]      # the owner is the anchor
         a = t.window(i, length + 1)
         b = t.window(j, length + 1)
         za = (a - a.mean()) / a.std()
         zb = (b - b.mean()) / b.std()
         true = float(np.sqrt(((za - zb) ** 2).sum()))
-        ratios.append(sm.tlb(lb.value, true))
+        ratios.append(sm.tlb(lb, true))
     mean = float(np.mean(ratios))
     assert 0.0 < mean <= 1.0
 

@@ -3,9 +3,9 @@ import pytest
 
 import seriesmine as sm
 from seriesmine.exceptions import (AllConstantError, InvalidParametersError,
-                                   NoValidNeighborError, SeriesTooShortError)
+                                   SeriesTooShortError)
 from seriesmine.oracle import naive_distance_matrix, naive_profile
-from seriesmine.profile import compute_matrix_profile, min_with_exclusion
+from seriesmine.profile import CHUNK_ROWS, compute_matrix_profile, row_profile
 from seriesmine.synthetic import planted_pair_series, random_walk
 
 
@@ -72,28 +72,42 @@ def test_distance_symmetry_sampled():
     assert np.max(np.abs(dists[finite] - dists.T[finite])) < 1e-9
 
 
+def _explicit_row(t, i, length):
+    """Distances of window i to every window, z-normalized one by one."""
+    def z(w):
+        return (w - w.mean()) / w.std()
+    zi = z(t.window(i, length))
+    return np.array([np.linalg.norm(zi - z(t.window(j, length)))
+                     for j in range(t.n - length + 1)])
+
+
 def test_min_with_exclusion_skips_zone():
-    row = np.full(40, 10.0)
-    row[3] = 0.5    # inside the zone of i=1 at length 8 (ceil(8/2)=4)
-    row[20] = 1.5
-    dist, j = min_with_exclusion(row, 1, 8)
-    assert (dist, j) == (1.5, 20)
+    # unmasked, the self-match would win; the exclusion zone
+    # (ceil(16/2) = 8 each side) hides it and the overlapping shifts
+    t = sm.ingest(random_walk(200, seed=4))
+    i, length = 50, 16
+    dist, _, _ = row_profile(t, i, length)
+    assert int(np.argmin(_explicit_row(t, i, length))) == i
+    assert np.all(np.isinf(dist[i - 7:i + 8]))
+    assert np.isfinite(dist[i - 8]) and np.isfinite(dist[i + 8])
 
 
 def test_min_with_exclusion_matches_filter_oracle():
-    rng = np.random.default_rng(4)
-    row = rng.uniform(0, 5, size=100)
+    t = sm.ingest(random_walk(100, seed=4))
     i, length = 50, 16
-    dist, j = min_with_exclusion(row, i, length)
-    mask = np.abs(np.arange(100) - i) >= 8
-    expected_j = int(np.flatnonzero(mask)[np.argmin(row[mask])])
-    assert j == expected_j and dist == row[expected_j]
+    dist, _, _ = row_profile(t, i, length)
+    explicit = _explicit_row(t, i, length)
+    mask = np.abs(np.arange(explicit.shape[0]) - i) >= 8
+    expected_j = int(np.flatnonzero(mask)[np.argmin(explicit[mask])])
+    assert int(np.argmin(dist)) == expected_j
+    assert dist[expected_j] == pytest.approx(explicit[expected_j], abs=1e-9)
 
 
 def test_min_with_exclusion_no_neighbor():
-    row = np.ones(4)
-    with pytest.raises(NoValidNeighborError):
-        min_with_exclusion(row, 2, 10)
+    # n=10, length 8: three windows, all inside each other's zone
+    t = sm.ingest(random_walk(10, seed=4))
+    dist, _, _ = row_profile(t, 1, 8)
+    assert not np.isfinite(dist).any()
 
 
 def test_series_too_short():
@@ -131,15 +145,19 @@ def test_constant_stretch_excluded_from_matches():
         assert not np.isfinite(res.profile.mp[i])
 
 
-def test_thread_count_does_not_change_bits():
+def test_chunk_seams_match_fresh_rows():
+    # rows on both sides of each chunk boundary equal a from-scratch row
     t = sm.ingest(random_walk(5000, seed=7))
-    r1 = compute_matrix_profile(t, 64, 5, threads=1)
-    r4 = compute_matrix_profile(t, 64, 5, threads=4)
-    assert np.array_equal(r1.profile.mp, r4.profile.mp)
-    assert np.array_equal(r1.profile.ip, r4.profile.ip)
-    assert np.array_equal(r1.partials.nbr, r4.partials.nbr)
-    assert np.array_equal(r1.partials.qt, r4.partials.qt)
-    assert np.array_equal(r1.partials.m_f, r4.partials.m_f)
+    res = compute_matrix_profile(t, 64, 5)
+    assert res.profile.mp.shape[0] > 2 * CHUNK_ROWS     # three chunks
+    for i in (CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS):
+        dist, _, qt_row = row_profile(t, i, 64)
+        j = int(np.argmin(dist))
+        assert np.allclose(res.profile.mp[i], dist[j], rtol=1e-9, atol=1e-9)
+        assert res.profile.ip[i] == j
+        stored = res.partials.alive[i]
+        assert np.allclose(res.partials.qt[i][stored],
+                           qt_row[res.partials.nbr[i][stored]], rtol=1e-9, atol=1e-9)
 
 
 def test_best_match_harvest_tracks_m_smallest():

@@ -3,8 +3,8 @@ import pytest
 
 import seriesmine as sm
 from seriesmine.exceptions import (EmptySeriesError, LengthExceedsSeriesError,
-                                   NonFiniteError, OutOfRangeError,
-                                   ZeroVarianceError)
+                                   NonFiniteError, ZeroVarianceError)
+from seriesmine.profile import PartialProfiles, compute_matrix_profile
 
 
 def test_ingest_basic():
@@ -114,24 +114,37 @@ def test_advance_constant_series():
 
 
 def test_extend_dot_product():
-    t = sm.ingest([1.0, 2.0, 3.0])
-    assert sm.extend_dot_product(3.0, t, 0, 0, 2) == pytest.approx(12.0)
+    # a stored dot product grows by the product of the two new last values
+    t = sm.ingest([1.0, 2.0, 3.0, 1.0, 5.0, 2.0, 4.0, 0.0, 3.0, 7.0])
+    partials = PartialProfiles(t, n_rows=7, p=1, length=4)
+    partials.set_row(0, [5], [13.0], [0.0], m_f=1.0, sigma_base=1.0)   # 1*2+2*4+3*0+1*3
+    partials.advance(5)
+    assert partials.alive[0, 0]
+    assert partials.qt[0, 0] == 13.0 + 5.0 * 7.0
 
 
 def test_extend_matches_scratch():
     rng = np.random.default_rng(6)
     t = sm.ingest(rng.standard_normal(256))
-    i, j, length = 10, 100, 20
-    qt = float(np.dot(t.window(i, length), t.window(j, length)))
-    grown = sm.extend_dot_product(qt, t, i, j, length)
-    assert grown == pytest.approx(
-        float(np.dot(t.window(i, length + 1), t.window(j, length + 1))), rel=1e-12)
+    partials = compute_matrix_profile(t, 20, 5).partials
+    for new_length in range(21, 31):
+        partials.advance(new_length)
+        for i in range(0, t.n - new_length + 1, 13):
+            for j, qt in zip(partials.nbr[i][partials.alive[i]],
+                             partials.qt[i][partials.alive[i]]):
+                scratch = float(np.dot(t.window(i, new_length),
+                                       t.window(int(j), new_length)))
+                assert qt == pytest.approx(scratch, rel=1e-9, abs=1e-9)
 
 
 def test_extend_out_of_range():
-    t = sm.ingest(np.arange(20.0))
-    with pytest.raises(OutOfRangeError):
-        sm.extend_dot_product(0.0, t, 12, 0, 8)   # 12 + 8 = n
+    # a row dies when its owner window no longer fits in the series
+    rng = np.random.default_rng(12)
+    t = sm.ingest(rng.standard_normal(20))
+    partials = compute_matrix_profile(t, 8, 3).partials
+    assert partials.owner_ok[12] and partials.alive[12].any()   # 12 + 8 = n
+    partials.advance(9)
+    assert not partials.owner_ok[12] and not partials.alive[12].any()
 
 
 def _naive_znorm(a, b):
