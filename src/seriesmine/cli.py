@@ -30,7 +30,8 @@ from .discords import topkm_discord_discovery
 from .exceptions import SeriesMineError
 from .io import InputFormatError
 from .metrics import RunTrace, pruning_report
-from .motifsets import PairRanking, compute_var_length_motif_sets, validate_disjoint
+from .motifsets import (PairRanking, compute_var_length_motif_sets, validate_disjoint,
+                        validate_radius_factor)
 from .oracle import brute_force_discords, brute_force_motifs
 from .profile import compute_matrix_profile
 from .valmod import top_variable_length_motif, valmod
@@ -161,7 +162,8 @@ def _pruning_payload(trace):
         "per_length": [{"length": r.length, "profiles": r.n_profiles,
                         "valid": r.n_valid, "nonvalid": r.n_nonvalid,
                         "recomputed": r.n_recomputed,
-                        "full_recompute": r.full_recompute}
+                        "full_recompute": r.full_recompute,
+                        "reseed": r.reseed}
                        for r in rep.rows],
         "totals": {"profiles": rep.n_profiles, "valid": rep.n_valid,
                    "nonvalid": rep.n_nonvalid, "recomputed": rep.n_recomputed,
@@ -208,6 +210,7 @@ def _run_motifs(args, series):
 
 
 def _run_motif_sets(args, series):
+    validate_radius_factor(args.radius_factor)
     trace = RunTrace()
     ranking = PairRanking(args.top_k)
     t0 = time.perf_counter()

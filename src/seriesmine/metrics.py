@@ -22,7 +22,12 @@ def tlb(lb: float, dist: float) -> float:
 
 @dataclass
 class LengthTrace:
-    """Per-length pruning counters, plus the certified motif when tracing one."""
+    """Per-length pruning counters, plus the certified motif when tracing one.
+
+    ``reseed`` says why a length ran a full rescan: ``"uncertified"`` when
+    certification failed, ``"cost"`` when the floors owed since the last
+    seed outgrew one scan; None when no rescan ran.
+    """
 
     length: int
     n_profiles: int
@@ -31,6 +36,7 @@ class LengthTrace:
     n_recomputed: int
     full_recompute: bool
     motif: tuple | None = None
+    reseed: str | None = None
 
 
 class RunTrace:
@@ -41,9 +47,9 @@ class RunTrace:
         self._by_length: dict[int, LengthTrace] = {}
 
     def add_length(self, length, n_profiles, n_valid, n_nonvalid,
-                   n_recomputed, full_recompute, motif=None):
+                   n_recomputed, full_recompute, motif=None, reseed=None):
         rec = LengthTrace(length, n_profiles, n_valid, n_nonvalid,
-                          n_recomputed, full_recompute, motif)
+                          n_recomputed, full_recompute, motif, reseed)
         self.records.append(rec)
         self._by_length[length] = rec
 
@@ -57,7 +63,10 @@ class PruningReport:
 
     ``considered`` counts the profiles actually classified (valid +
     non-valid); ``recomputed`` counts the non-valid ones whose exact values
-    were obtained by a from-scratch rescan, so recomputed <= non-valid.
+    came from rescanning the row, so recomputed <= non-valid on
+    every length that did not re-seed. A re-seeded length counts its
+    non-valid rows (the full rescan) plus any rows it had already
+    recomputed one by one.
     """
 
     rows: list[LengthTrace] = field(default_factory=list)

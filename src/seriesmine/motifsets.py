@@ -166,6 +166,13 @@ def _range_members(series, prof, owner, length, r):
     return np.flatnonzero(dist < r)
 
 
+def validate_radius_factor(radius_factor: float):
+    """Reject a radius factor D that is not a finite positive number."""
+    if not (np.isfinite(radius_factor) and radius_factor > 0.0):
+        raise InvalidParametersError(
+            f"radius factor must be finite and positive (got {radius_factor})")
+
+
 def compute_var_length_motif_sets(series: DataSeries, ranking: PairRanking,
                                   radius_factor: float,
                                   min_frequency: int | None = None) -> list[MotifSet]:
@@ -178,6 +185,7 @@ def compute_var_length_motif_sets(series: DataSeries, ranking: PairRanking,
     consumed is skipped outright. ``min_frequency`` is a post-filter on the
     finished sets.
     """
+    validate_radius_factor(radius_factor)
     consumed: set[int] = set()
     sets: list[MotifSet] = []
     for pair in ranking:

@@ -321,7 +321,9 @@ def compute_matrix_profile(series: DataSeries, length: int, p: int,
     ----------
     series : DataSeries
     length : int
-        Window length; needs 4 <= length and 2*length <= n.
+        Window length; needs 4 <= length and length + exclusion_zone(length)
+        <= n, so that at least one non-trivial pair exists (the condition
+        ``valmod.validate_range`` applies to a whole range).
     p : int
         Stored neighbors per row (the reuse budget for longer lengths).
     m_track : int
@@ -329,8 +331,9 @@ def compute_matrix_profile(series: DataSeries, length: int, p: int,
         distances (ascending) — the raw material for anomaly ranking.
     """
     n = series.n
-    if length < 4 or 2 * length > n:
-        raise SeriesTooShortError(f"need 4 <= length <= n/2 (length={length}, n={n})")
+    if length < 4 or length + policy.exclusion_zone(length) > n:
+        raise SeriesTooShortError(
+            f"need 4 <= length and length + ceil(length/2) <= n (length={length}, n={n})")
     if p < 1:
         raise InvalidParametersError("p must be at least 1")
     n_dp = n - length + 1

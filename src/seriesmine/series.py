@@ -51,7 +51,11 @@ class DataSeries:
     """Immutable real-valued series with cumulative sums for O(1) window stats.
 
     Build one with :func:`ingest`. The value array and both prefix arrays are
-    locked read-only, so a DataSeries is safe to share across threads.
+    locked read-only. Two caches fill lazily: the series spectrum per FFT
+    size and the moving stats per window length. A cache entry is a pure
+    function of the values, is computed in full before it is stored, and is
+    locked read-only, so a fill is idempotent and a DataSeries stays safe to
+    share across threads.
     """
 
     def __init__(self, values: np.ndarray):
@@ -65,6 +69,8 @@ class DataSeries:
         self.sigma_floor = policy.sigma_floor(values)
         for arr in (self.values, self._cum, self._cum2):
             arr.setflags(write=False)
+        self._spectra: dict[int, np.ndarray] = {}
+        self._moving: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return self.n
@@ -89,15 +95,31 @@ class DataSeries:
         return SubseqStats(i, length, s, ss, mu, sigma, self.sigma_floor)
 
     def moving_stats(self, length: int):
-        """Mean and std of every window of the given length (two arrays of n-L+1)."""
+        """Mean and std of every window of the given length (two read-only
+        arrays of n-L+1, cached per length)."""
         if length > self.n:
             raise LengthExceedsSeriesError(f"window length {length} > series length {self.n}")
-        s = self._cum[length:] - self._cum[:-length]
-        ss = self._cum2[length:] - self._cum2[:-length]
-        mu = s / length
-        var = ss / length - mu * mu
-        np.maximum(var, 0.0, out=var)
-        return mu, np.sqrt(var)
+        cached = self._moving.get(length)
+        if cached is None:
+            s = self._cum[length:] - self._cum[:-length]
+            ss = self._cum2[length:] - self._cum2[:-length]
+            mu = s / length
+            var = ss / length - mu * mu
+            np.maximum(var, 0.0, out=var)
+            sd = np.sqrt(var)
+            mu.setflags(write=False)
+            sd.setflags(write=False)
+            cached = self._moving[length] = (mu, sd)
+        return cached
+
+    def spectrum(self, size: int) -> np.ndarray:
+        """``rfft(values, size)``, read-only and cached per FFT size."""
+        spec = self._spectra.get(size)
+        if spec is None:
+            spec = _fft.rfft(self.values, size)
+            spec.setflags(write=False)
+            self._spectra[size] = spec
+        return spec
 
 
 def ingest(raw) -> DataSeries:
@@ -124,16 +146,16 @@ def ingest(raw) -> DataSeries:
 def sliding_dot_product(query: np.ndarray, series: DataSeries) -> np.ndarray:
     """Dot product of `query` against every window of equal length in the series.
 
-    Computed in the frequency domain in O(n log n); output j is
-    ``dot(query, values[j : j + len(query)])`` for j in [0, n - L].
+    Computed in the frequency domain in O(n log n) against the series'
+    cached spectrum; output j is ``dot(query, values[j : j + len(query)])``
+    for j in [0, n - L].
     """
     q = np.asarray(query, dtype=np.float64)
-    t = series.values
-    n, length = t.shape[0], q.shape[0]
+    n, length = series.n, q.shape[0]
     if length > n:
         raise LengthExceedsSeriesError(f"query length {length} > series length {n}")
     size = _fft.next_fast_len(n + length - 1, real=True)
-    spec = _fft.rfft(t, size) * _fft.rfft(q[::-1], size)
+    spec = series.spectrum(size) * _fft.rfft(q[::-1], size)
     conv = _fft.irfft(spec, size)
     return conv[length - 1:n]
 

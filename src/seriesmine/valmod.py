@@ -19,6 +19,18 @@ rows that were never recomputed carry only a floor. A final repair pass
 recomputes exactly those (row, length) floors that still undercut the row's
 best-so-far normalized match, which makes the merged per-offset output exact
 at every offset, not just at the motif.
+
+Floors pile up as the stored entries age, so ``valmod`` also re-seeds by
+cost (ski rental). After each certified length it counts the floors the
+repair pass could still owe — those whose normalized floor undercuts the
+offset's current best, or whose offset is unpopulated — and adds them to a
+total kept since the last full scan. Once that total exceeds the rows one
+full scan at this length computes, it buys the scan instead: it rescans the
+whole profile at this length, drops the length's floors and starts the
+count again. Paying per row until the owed rows cost one scan, then buying
+the scan, is never worse than twice the better choice in hindsight, and it
+leaves no constant to tune. A repair row costs an FFT (O(n log n)) and a
+scan row O(n), so the threshold of one scan's rows errs towards rows.
 """
 
 from __future__ import annotations
@@ -110,6 +122,11 @@ def compute_sub_mp(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
     n·log(p)/log(n), the break-even against a full rescan), the rows whose
     thresholds still undercut the best certified distance are recomputed from
     scratch, their stored entries refreshed, and the result re-certified.
+
+    The remaining non-valid rows come back as ``floors``. The caller weighs
+    them against a full rescan: it re-seeds when certification fails, and
+    when the floors the repair pass still owes since the last seed exceed
+    ``n_dp``, the rows one full scan computes.
     """
     list_dp.advance(new_length)
     _, sd = series.moving_stats(new_length)
@@ -166,6 +183,19 @@ def _written_motif(values: np.ndarray, indices: np.ndarray):
     return min(a, b), max(a, b), float(safe[a])
 
 
+def _owed_rows(valmp: VALMP, floors: list, length: int) -> int:
+    """How many of one length's floors the repair pass could still rescan:
+    those whose normalized floor undercuts the offset's best so far, or whose
+    offset is unpopulated."""
+    if not floors:
+        return 0
+    rec = np.asarray(floors)
+    rows = rec[:, 0].astype(np.int64)
+    norm = rec[:, 1] / math.sqrt(length)
+    return int(np.count_nonzero(~valmp.populated[rows]
+                                | (norm < valmp.norm_distances[rows])))
+
+
 def validate_range(series: DataSeries, lmin: int, lmax: int):
     if lmin > lmax:
         raise InvalidParametersError(f"lmin {lmin} > lmax {lmax}")
@@ -219,27 +249,36 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
                          n_recomputed=0, full_recompute=False, motif=motif)
 
     floors: dict[int, list] = {}
+    owed = 0    # floors the repair pass may still rescan, since the last seed
     for length in range(lmin + 1, lmax + 1):
         n_dp = series.n - length + 1
         sub = compute_sub_mp(series, n_dp, partials, length, p)
-        if sub.b_best_m:
+        reseed = None
+        if not sub.b_best_m:
+            reseed = "uncertified"
+        else:
+            owed += _owed_rows(valmp, sub.floors, length)
+            if owed > n_dp:
+                reseed = "cost"
+        if reseed is None:
             fold(valmp, sub.values, sub.indices, n_dp, length, partials)
             for i, floor_value in sub.floors:
                 floors.setdefault(i, []).append((floor_value, length))
             motif = _written_motif(sub.values, sub.indices)
-            full = False
             n_recomputed = sub.n_recomputed
         else:
             res = compute_matrix_profile(series, length, p)
             partials = res.partials
             fold(valmp, res.profile.mp, res.profile.ip, n_dp, length, partials)
             motif = _written_motif(res.profile.mp, res.profile.ip)
-            full = True
-            n_recomputed = sub.n_nonvalid
+            owed = 0
+            # rows already recomputed in this step, plus the rescan's share
+            n_recomputed = sub.n_recomputed + sub.n_nonvalid
         if trace is not None:
             trace.add_length(length, n_profiles=n_dp, n_valid=sub.n_valid,
                              n_nonvalid=sub.n_nonvalid, n_recomputed=n_recomputed,
-                             full_recompute=full, motif=motif)
+                             full_recompute=reseed is not None, motif=motif,
+                             reseed=reseed)
 
     _repair(series, valmp, floors, ranking, trace)
     return valmp

@@ -84,6 +84,9 @@ def test_motifs_cli_matches_oracle_cli(series_file, tmp_path):
     for re_, ro in zip(e["per_length"], o["per_length"]):
         assert (re_["offset"], re_["neighbor"]) == (ro["offset"], ro["neighbor"])
         assert re_["distance"] == pytest.approx(ro["distance"], abs=1e-7)
+    for rec in e["pruning"]["per_length"]:
+        assert rec["reseed"] in (None, "uncertified", "cost")
+        assert rec["full_recompute"] == (rec["reseed"] is not None)
 
 
 def test_discords_cli_matches_oracle_cli(series_file, tmp_path):
@@ -139,6 +142,10 @@ def test_validation_exit_code_names_constraint(series_file, capsys):
     ["oracle", "discords", "--lmin", "16", "--lmax", "24", "--k", "0"],
     ["oracle", "motifs", "--lmin", "2", "--lmax", "8"],
     ["oracle", "motifs", "--lmin", "8", "--lmax", "300"],
+    ["motif-sets", "--lmin", "8", "--lmax", "16", "-D", "-1"],
+    ["motif-sets", "--lmin", "8", "--lmax", "16", "-D", "0"],
+    ["motif-sets", "--lmin", "8", "--lmax", "16", "-D", "nan"],
+    ["motif-sets", "--lmin", "8", "--lmax", "16", "-D", "inf"],
 ])
 def test_rejected_parameters_exit_3(series_file, argv, capsys):
     assert main(argv + ["--input", series_file]) == 3

@@ -80,6 +80,36 @@ def test_sliding_dot_product_matches_naive():
     assert np.max(np.abs(qt - naive)) < 1e-9
 
 
+def test_cached_stats_and_spectrum_equal_uncached_formulas():
+    from scipy import fft
+    rng = np.random.default_rng(5)
+    t = sm.ingest(rng.standard_normal(300).cumsum())
+    for length in (8, 33, 64):
+        for _ in range(2):      # first call fills the cache, second reads it
+            mu, sd = t.moving_stats(length)
+            s = t._cum[length:] - t._cum[:-length]
+            ss = t._cum2[length:] - t._cum2[:-length]
+            mu_ref = s / length
+            var = np.maximum(ss / length - mu_ref * mu_ref, 0.0)
+            assert np.array_equal(mu, mu_ref)
+            assert np.array_equal(sd, np.sqrt(var))
+        for i in (0, 17, t.n - length):
+            q = t.window(i, length)
+            size = fft.next_fast_len(t.n + length - 1, real=True)
+            ref = fft.irfft(fft.rfft(t.values, size) * fft.rfft(q[::-1], size),
+                            size)[length - 1:t.n]
+            for _ in range(2):
+                assert np.array_equal(sm.sliding_dot_product(q, t), ref)
+
+
+def test_cached_arrays_are_read_only():
+    t = sm.ingest(np.random.default_rng(6).standard_normal(100))
+    mu, sd = t.moving_stats(10)
+    for arr in (mu, sd, t.spectrum(128)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_sliding_dot_product_query_too_long():
     t = sm.ingest([1.0, 2.0, 3.0])
     with pytest.raises(LengthExceedsSeriesError):

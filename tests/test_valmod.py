@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import seriesmine as sm
 from seriesmine.exceptions import InvalidParametersError, SeriesTooShortError, UnpopulatedError
 from seriesmine.metrics import RunTrace
 from seriesmine.profile import compute_matrix_profile
-from seriesmine.synthetic import planted_pair_series, random_walk
+from seriesmine.synthetic import planted_motif_benchmark, planted_pair_series, random_walk
 from seriesmine.valmod import VALMP, certify_step, compute_sub_mp, update_valmp
 
 
@@ -151,6 +153,45 @@ def test_end_to_end_exactness(seed, kind):
         assert np.allclose(norm, om.valmp_norm, atol=1e-7)
         assert np.array_equal(v.indices, om.valmp_index)
         assert np.array_equal(v.lengths, om.valmp_length)
+
+
+def test_lengths_beyond_half_the_series_equal_oracle():
+    # lmax + ceil(lmax/2) fits n=100, but every length above 50 exceeds n/2,
+    # where rescans used to be refused
+    for seed in range(40):
+        t = sm.ingest(random_walk(100, seed=seed))
+        om = sm.brute_force_motifs(t, 20, 60)
+        for p in (1, 3, 10):
+            v = sm.valmod(t, 20, 60, p)
+            norm = np.where(v.populated, v.norm_distances, np.inf)
+            assert np.allclose(norm, om.valmp_norm, atol=1e-7), (seed, p)
+            assert np.array_equal(v.indices, om.valmp_index), (seed, p)
+            assert np.array_equal(v.lengths, om.valmp_length), (seed, p)
+
+
+def test_cost_reseed_bounds_repair_rows(monkeypatch):
+    # the module, not the function that the package binds under the same name
+    module = importlib.import_module("seriesmine.valmod")
+    calls = 0
+    original = module.row_profile
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "row_profile", counted)
+    t = sm.ingest(planted_motif_benchmark(800, 64, seed=1))
+    trace = RunTrace()
+    v = sm.valmod(t, 32, 64, 10, trace=trace)
+    # without the cost rule this input takes 7,622 single-row rescans
+    assert calls <= 2000
+    assert any(r.reseed == "cost" for r in trace.records)
+    assert all(r.full_recompute == (r.reseed is not None) for r in trace.records)
+    om = sm.brute_force_motifs(t, 32, 64)
+    assert np.array_equal(v.lengths, om.valmp_length)
+    assert np.array_equal(v.indices, om.valmp_index)
+    assert np.allclose(v.distances, om.valmp_dist, atol=1e-7)
 
 
 def test_capacity_never_changes_output():
