@@ -9,10 +9,18 @@ the rows, and no two stored windows may overlap within the exclusion zone.
 Candidates are processed in ascending offset with on-line trivial-match
 skipping. That greedy order is part of the result's definition: an earlier,
 weaker discord can block a stronger overlapping one that starts later. The
-brute-force reference replays the identical order, and the pruning below is
-careful to leave the replay unchanged — a stored row only skips
-recomputation when its (upper-bound) stored distances provably cannot enter
-the matrix.
+brute-force reference replays the identical order.
+
+A length step has two halves. The first is vectorized and runs once per
+length: advance the stored entries, take every row's m best stored matches
+in one sort, and certify rows whose m-th stored distance sits below the row
+threshold. The second is the sequential replay over the live owners in
+ascending offset, which only does what depends on the replay order. A
+certified owner commits the canonical distances of its stored neighbors;
+any other owner skips recomputation only when its (upper-bound) stored
+distances provably cannot enter the matrix, so the pruning leaves the
+replay's result unchanged. The seed length feeds the same replay from the
+full scan's m best matches.
 
 Across lengths, matrices merge cell by cell, keeping the largest
 length-normalized distance ``d / sqrt(length)`` (ties to the later, longer
@@ -35,20 +43,42 @@ from .valmod import validate_range
 
 @dataclass
 class DiscordMatrix:
-    """Top-k m-th discords of one length: distance and owner offset per cell."""
+    """Top-k m-th discords of one length: distance and owner offset per cell.
+
+    ``_cover[j]`` counts the stored owners whose exclusion zone holds offset
+    j, so the trivial-match check is one lookup. Inserts and drops keep it
+    current; it grows on demand, and offsets past its end are uncovered. A
+    count never exceeds the k*m cells, which sets its (smallest) dtype.
+    """
 
     dist: np.ndarray
     offset: np.ndarray
     length: int
-    _occupied: set = field(default_factory=set)
+    _cover: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._cover = np.zeros(0, dtype=np.min_scalar_type(self.dist.size))
 
     @classmethod
     def empty(cls, k: int, m: int, length: int) -> "DiscordMatrix":
         return cls(np.full((k, m), -np.inf), np.full((k, m), -1, dtype=np.int64), length)
 
     def has_trivial(self, off: int) -> bool:
+        """Whether a stored owner lies within the exclusion zone of offset ``off`` (>= 0)."""
+        return off < self._cover.shape[0] and bool(self._cover[off])
+
+    def _mark(self, off: int, stored: bool):
+        """Count owner ``off`` in (or out of) the cover of every offset it trivially matches."""
         excl = policy.exclusion_zone(self.length)
-        return any(abs(off - o) < excl for o in self._occupied)
+        size = self._cover.shape[0]
+        if off + excl > size:
+            grow = max(off + excl, 2 * size) - size
+            self._cover = np.concatenate((self._cover, np.zeros(grow, dtype=self._cover.dtype)))
+        zone = self._cover[max(0, off - excl + 1):off + excl]
+        if stored:
+            zone += 1
+        else:
+            zone -= 1
 
 
 @dataclass
@@ -94,8 +124,8 @@ def update_fixed_length_discords(dkm: DiscordMatrix, best_dists: np.ndarray,
                 dkm.dist[i, col] = d_j
                 dkm.offset[i, col] = off
                 if dropped >= 0:
-                    dkm._occupied.discard(dropped)
-                dkm._occupied.add(off)
+                    dkm._mark(dropped, False)
+                dkm._mark(off, True)
                 return True
     return False
 
@@ -121,17 +151,50 @@ def _canonical_values(series, owner: int, nbrs: np.ndarray, length: int, m: int)
 
     Values fed into a matrix must tie exactly with their mirrored
     computation (owner and neighbor swapped), or the strict ranking
-    comparisons would be decided by dot-product round-off.
+    comparisons would be decided by dot-product round-off. Returns the m
+    distances ascending, +inf where ``nbrs`` runs out (-1 padding).
     """
-    out = np.full(m, np.inf)
-    k = 0
-    for j in nbrs:
-        if j < 0:
-            break
-        out[k] = pair_distance(series, owner, int(j), length)
-        k += 1
-    out.sort()
-    return out
+    out = sorted(pair_distance(series, owner, j, length) for j in nbrs.tolist() if j >= 0)
+    return out + [np.inf] * (m - len(out))
+
+
+def _replay(series: DataSeries, dkm: DiscordMatrix, list_dp: PartialProfiles,
+            owners: list, certified: list, stored: np.ndarray, stored_nbrs: np.ndarray,
+            k: int, m: int):
+    """Offer ``owners`` (ascending offsets) to ``dkm``: the order-dependent half of a step.
+
+    ``stored``/``stored_nbrs`` hold each row's m best stored matches. A
+    certified owner commits its canonical values. Any other owner is
+    resolved in place: if even its stored distances (upper bounds of the
+    true ones) beat no cell of the matrix's bottom row, it provably leaves
+    no trace and is skipped; otherwise its full row is recomputed, its
+    stored entries refreshed, and its exact distances offered. Returns
+    (n_valid, n_nonvalid, n_recomputed).
+    """
+    length = dkm.length
+    _, sd = series.moving_stats(length)
+    bottom = dkm.dist[k - 1]      # a view: inserts update it in place
+    n_valid = n_nonvalid = n_recomputed = 0
+    for i in owners:
+        if dkm.has_trivial(i):
+            continue
+        if certified[i]:
+            n_valid += 1
+            update_fixed_length_discords(
+                dkm, _canonical_values(series, i, stored_nbrs[i], length, m), i, k, m)
+            continue
+        n_nonvalid += 1
+        if not (stored[i] > bottom).any():
+            continue
+        dist_row, f_row, qt_row = row_profile(series, i, length, want_f=True)
+        n_recomputed += 1
+        list_dp.harvest_row(i, f_row, qt_row, dist_row, sd[i])
+        best, best_nbrs = np.full(m, np.inf), np.full(m, -1, dtype=np.int64)
+        row_best_matches(dist_row, best, best_nbrs)
+        if np.isfinite(best[m - 1]):
+            update_fixed_length_discords(
+                dkm, _canonical_values(series, i, best_nbrs, length, m), i, k, m)
+    return n_valid, n_nonvalid, n_recomputed
 
 
 def topkm_next_length(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
@@ -139,47 +202,22 @@ def topkm_next_length(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
                       counts: dict | None = None) -> DiscordMatrix:
     """One length step of the discord scan, reusing stored entries.
 
-    Owners whose m-th smallest stored distance is certified exact (below the
-    row threshold) commit directly. Any other owner is resolved in place: if
-    even its stored distances (upper bounds of the true ones) beat no cell in
-    the matrix's last row, it provably leaves no trace and is skipped;
-    otherwise its full row is recomputed, its stored entries refreshed, and
-    its exact distances offered to the matrix.
+    Vectorized over all rows: advance the stored entries, take each row's m
+    best stored matches, and certify the owners whose m-th stored distance
+    is exact (below the row threshold). Then :func:`_replay` offers the live
+    owners to the matrix in ascending offset, recomputing a non-certified
+    owner only when it could still enter the matrix.
     """
     list_dp.advance(new_length)
-    thr = list_dp.thresholds()
+    thr = list_dp.thresholds()[:n_dp]
     _, sd = series.moving_stats(new_length)
+    stored, stored_nbrs = list_dp.sorted_row_matches(m, n_dp)
+    mth = stored[:, m - 1]
+    certified = list_dp.owner_ok[:n_dp] & np.isfinite(mth) & (mth < thr)
+    owners = np.flatnonzero(sd >= series.sigma_floor).tolist()
     dkm = DiscordMatrix.empty(k, m, new_length)
-    n_valid = n_nonvalid = n_recomputed = 0
-    for i in range(n_dp):
-        if sd[i] < series.sigma_floor:
-            continue
-        if dkm.has_trivial(i):
-            continue
-        if list_dp.owner_ok[i]:
-            stored, stored_nbrs = list_dp.sorted_row_matches(i, m)
-            row_thr = thr[i]
-        else:
-            stored, stored_nbrs = np.full(m, np.inf), None
-            row_thr = 0.0
-        if np.isfinite(stored[m - 1]) and stored[m - 1] < row_thr:
-            n_valid += 1
-            update_fixed_length_discords(
-                dkm, _canonical_values(series, i, stored_nbrs, new_length, m),
-                i, k, m)
-            continue
-        n_nonvalid += 1
-        if not np.any(stored > dkm.dist[k - 1]):
-            continue
-        dist_row, f_row, qt_row = row_profile(series, i, new_length, want_f=True)
-        n_recomputed += 1
-        list_dp.harvest_row(i, f_row, qt_row, dist_row, sd[i])
-        best, best_nbrs = np.full(m, np.inf), np.full(m, -1, dtype=np.int64)
-        row_best_matches(dist_row, best, best_nbrs)
-        if np.isfinite(best[m - 1]):
-            update_fixed_length_discords(
-                dkm, _canonical_values(series, i, best_nbrs, new_length, m),
-                i, k, m)
+    n_valid, n_nonvalid, n_recomputed = _replay(
+        series, dkm, list_dp, owners, certified.tolist(), stored, stored_nbrs, k, m)
     if counts is not None:
         counts.update(n_valid=n_valid, n_nonvalid=n_nonvalid, n_recomputed=n_recomputed)
     return dkm
@@ -209,15 +247,11 @@ def topkm_discord_discovery(series: DataSeries, lmin: int, lmax: int,
     res = compute_matrix_profile(series, lmin, p, m_track=m)
     list_dp = res.partials
     n_dp = series.n - lmin + 1
-    dkm = DiscordMatrix.empty(k, m, lmin)
     _, sd = series.moving_stats(lmin)
-    for i in range(n_dp):
-        if sd[i] < series.sigma_floor or not np.isfinite(res.best_m[i, m - 1]):
-            continue
-        if dkm.has_trivial(i):
-            continue
-        update_fixed_length_discords(
-            dkm, _canonical_values(series, i, res.best_m_nbr[i], lmin, m), i, k, m)
+    live = (sd >= series.sigma_floor) & np.isfinite(res.best_m[:, m - 1])
+    dkm = DiscordMatrix.empty(k, m, lmin)
+    _replay(series, dkm, list_dp, np.flatnonzero(live).tolist(), live.tolist(),
+            res.best_m, res.best_m_nbr, k, m)
     merged = VariableLengthDiscordMatrix.empty(k, m)
     update_variable_length_discords(dkm, merged, k, m)
     per_length = {lmin: dkm}

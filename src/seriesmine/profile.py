@@ -32,6 +32,7 @@ from .exceptions import (
 from .series import DataSeries, advance_dot_products, sliding_dot_product
 
 CHUNK_ROWS = 2048
+_DEAD_NBR = np.iinfo(np.int64).max   # sorts a dead entry after every live one
 
 
 @dataclass
@@ -169,18 +170,20 @@ class PartialProfiles:
         nbr_min = np.where(np.isfinite(dmin), nbr_min, -1)
         return dmin, nbr_min, counts
 
-    def sorted_row_matches(self, i: int, m: int):
-        """The row's m best matches: (distances ascending, neighbor offsets)."""
-        sel = self.alive[i]
-        d = self.dist[i][sel]
-        nb = self.nbr[i][sel]
-        dists = np.full(m, np.inf)
-        nbrs = np.full(m, -1, dtype=np.int64)
-        take = min(m, d.shape[0])
-        if take:
-            order = np.lexsort((nb, d))[:take]
-            dists[:take] = d[order]
-            nbrs[:take] = nb[order]
+    def sorted_row_matches(self, m: int, n_rows: int):
+        """The m (<= p) best stored matches of each of the first ``n_rows`` rows.
+
+        Returns (distances, neighbor offsets), both (n_rows, m): distances
+        ascending per row, the smaller neighbor first on ties, padded with
+        +inf and -1 where a row holds fewer than m live entries.
+        """
+        alive = self.alive[:n_rows]
+        dist = np.where(alive, self.dist[:n_rows], np.inf)
+        nbr = np.where(alive, self.nbr[:n_rows], _DEAD_NBR)
+        order = np.lexsort((nbr, dist))[:, :m]
+        dists = np.take_along_axis(dist, order, axis=1)
+        nbrs = np.take_along_axis(nbr, order, axis=1)
+        nbrs[nbrs == _DEAD_NBR] = -1
         return dists, nbrs
 
     def snapshot(self, i: int) -> PartialDistanceProfile:

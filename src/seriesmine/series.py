@@ -7,7 +7,9 @@ per-window mean/std:
 
 with the radicand clamped at zero against floating-point noise. Window
 mean/std come from cumulative plain and squared sums, so any (offset, length)
-pair costs O(1).
+pair costs O(1). A window whose values are all equal gets std exactly 0,
+read from a prefix count of value changes: the cumulative-sum variance of a
+flat stretch is cancellation noise that can sit above the constancy floor.
 
 All offsets are 0-based. A window of length L at offset i covers
 ``values[i : i + L]`` and exists when ``i + L <= n``.
@@ -66,8 +68,11 @@ class DataSeries:
         self.n = int(values.shape[0])
         self._cum = np.concatenate(([0.0], np.cumsum(values)))
         self._cum2 = np.concatenate(([0.0], np.cumsum(values * values)))
+        # _changes[j]: how many of values[1..j] differ from their predecessor,
+        # so window (i, L) is flat exactly when _changes[i+L-1] == _changes[i]
+        self._changes = np.concatenate(([0], np.cumsum(np.diff(values) != 0)))
         self.sigma_floor = policy.sigma_floor(values)
-        for arr in (self.values, self._cum, self._cum2):
+        for arr in (self.values, self._cum, self._cum2, self._changes):
             arr.setflags(write=False)
         self._spectra: dict[int, np.ndarray] = {}
         self._moving: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -85,13 +90,15 @@ class DataSeries:
         return float(s), float(ss)
 
     def stats(self, i: int, length: int) -> SubseqStats:
-        """O(1) statistics of one window; sigma clamped at 0 if the variance underflows."""
+        """O(1) statistics of one window; sigma is 0 for a flat window and
+        clamped at 0 if the variance underflows."""
         if i < 0 or i + length > self.n:
             raise OutOfRangeError(f"window ({i}, {length}) outside series of {self.n} points")
         s, ss = self.window_sums(i, length)
         mu = s / length
         var = ss / length - mu * mu
-        sigma = float(np.sqrt(var)) if var > 0.0 else 0.0
+        flat = self._changes[i + length - 1] == self._changes[i]
+        sigma = float(np.sqrt(var)) if var > 0.0 and not flat else 0.0
         return SubseqStats(i, length, s, ss, mu, sigma, self.sigma_floor)
 
     def moving_stats(self, length: int):
@@ -107,6 +114,7 @@ class DataSeries:
             var = ss / length - mu * mu
             np.maximum(var, 0.0, out=var)
             sd = np.sqrt(var)
+            sd[self._changes[length - 1:] == self._changes[:self.n - length + 1]] = 0.0
             mu.setflags(write=False)
             sd.setflags(write=False)
             cached = self._moving[length] = (mu, sd)
@@ -184,15 +192,26 @@ def pair_distance(series: DataSeries, i: int, j: int, length: int) -> float:
 
     A pure function of the unordered pair: the dot product is taken in
     canonical (min, max) order, so mirrored computations of the same pair
-    tie exactly — which the ranking comparisons rely on.
+    tie exactly — which the ranking comparisons rely on. The window stats
+    are read from the ``moving_stats`` arrays when this length's are cached,
+    and otherwise come from :meth:`DataSeries.stats`: both hold the same
+    bits, and a one-off pair does not pay (or keep) an O(n) cache fill.
     """
     a, b = (i, j) if i <= j else (j, i)
-    sa = series.stats(a, length)
-    sb = series.stats(b, length)
-    if sa.is_constant or sb.is_constant:
+    if a < 0 or b + length > series.n:
+        raise OutOfRangeError(
+            f"window pair ({i}, {j}) of length {length} outside series of {series.n} points")
+    cached = series._moving.get(length)
+    if cached is None:
+        sa, sb = series.stats(a, length), series.stats(b, length)
+        mu_a, sd_a, mu_b, sd_b = sa.mu, sa.sigma, sb.mu, sb.sigma
+    else:
+        mu, sd = cached
+        mu_a, sd_a, mu_b, sd_b = float(mu[a]), float(sd[a]), float(mu[b]), float(sd[b])
+    if sd_a < series.sigma_floor or sd_b < series.sigma_floor:
         return float(np.inf)
     qt = float(np.dot(series.window(a, length), series.window(b, length)))
-    return znorm_distance(qt, sa, sb)
+    return _znorm(qt, length, mu_a, sd_a, mu_b, sd_b)
 
 
 def znorm_distance(qt: float, a: SubseqStats, b: SubseqStats) -> float:
@@ -202,6 +221,10 @@ def znorm_distance(qt: float, a: SubseqStats, b: SubseqStats) -> float:
     if a.is_constant or b.is_constant:
         raise ZeroVarianceError(
             f"constant window at offset {a.offset if a.is_constant else b.offset}")
-    length = a.length
-    radicand = 2.0 * length * (1.0 - (qt - length * a.mu * b.mu) / (length * a.sigma * b.sigma))
+    return _znorm(qt, a.length, a.mu, a.sigma, b.mu, b.sigma)
+
+
+def _znorm(qt: float, length: int, mu_a: float, sigma_a: float,
+           mu_b: float, sigma_b: float) -> float:
+    radicand = 2.0 * length * (1.0 - (qt - length * mu_a * mu_b) / (length * sigma_a * sigma_b))
     return float(np.sqrt(radicand)) if radicand > 0.0 else 0.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seriesmine as sm
 from seriesmine.discords import DiscordMatrix, VariableLengthDiscordMatrix
@@ -48,6 +49,23 @@ def test_insert_policy_replay_on_random_rows():
         if not b.has_trivial(off):
             sm.update_fixed_length_discords(b, vals, off, k, m)
     assert np.array_equal(a.dist, b.dist) and np.array_equal(a.offset, b.offset)
+
+
+def test_has_trivial_equals_linear_scan():
+    # inserts (and the drops they cause) in arbitrary offset order, with and
+    # without the trivial-match check, so stored owners may also overlap
+    rng = np.random.default_rng(5)
+    k, m, length = 3, 2, 16
+    excl = -(-length // 2)
+    dkm = DiscordMatrix.empty(k, m, length)
+    for step in range(200):
+        off = int(rng.integers(0, 500))
+        if step % 2 and dkm.has_trivial(off):
+            continue
+        sm.update_fixed_length_discords(dkm, np.sort(rng.uniform(0, 10, size=m)), off, k, m)
+        stored = [int(o) for o in dkm.offset[dkm.offset >= 0]]
+        for q in range(0, 520):
+            assert dkm.has_trivial(q) == any(abs(q - o) < excl for o in stored), (step, q)
 
 
 def test_columns_stay_sorted_descending():
@@ -144,6 +162,46 @@ def test_equals_oracle_on_random_series(seed, k, m):
     assert np.array_equal(scan.merged.offset, merged_o.offset)
     assert np.array_equal(scan.merged.length, merged_o.length)
     assert np.allclose(scan.merged.dist, merged_o.dist, atol=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flat_shelf_equals_oracle(seed):
+    # windows inside the shelf are exactly constant and never candidates
+    values = random_walk(300, seed=seed)
+    values[100:160] = values[100]
+    t = sm.ingest(values)
+    scan = sm.topkm_discord_discovery(t, 8, 24, 3, 3, 5)
+    per_o, merged_o = sm.brute_force_discords(t, 8, 24, 3, 3)
+    for length in range(8, 25):
+        e, o = scan.per_length[length], per_o[length]
+        assert np.array_equal(e.offset, o.offset), length
+        fe = np.isfinite(e.dist)
+        assert np.array_equal(fe, np.isfinite(o.dist))
+        assert np.allclose(e.dist[fe], o.dist[fe], atol=1e-7)
+    assert np.array_equal(scan.merged.offset, merged_o.offset)
+    assert np.array_equal(scan.merged.length, merged_o.length)
+    assert np.allclose(scan.merged.dist, merged_o.dist, atol=1e-7)
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), shelf=st.booleans(), spike=st.booleans(),
+       k=st.integers(1, 3), m=st.integers(1, 3))
+def test_matrices_bit_identical_for_every_capacity(seed, shelf, spike, k, m):
+    values = random_walk(240, seed=seed)
+    if shelf:
+        values[60:100] = values[60]
+    if spike:
+        values[170] += 8.0
+    t = sm.ingest(values)
+    base = sm.topkm_discord_discovery(t, 8, 16, k, m, m)
+    for p in range(m + 1, 4 * m + 1):
+        scan = sm.topkm_discord_discovery(t, 8, 16, k, m, p)
+        for length, dkm in base.per_length.items():
+            assert np.array_equal(dkm.dist, scan.per_length[length].dist), (p, length)
+            assert np.array_equal(dkm.offset, scan.per_length[length].offset), (p, length)
+        assert np.array_equal(base.merged.dist, scan.merged.dist), p
+        assert np.array_equal(base.merged.offset, scan.merged.offset), p
+        assert np.array_equal(base.merged.length, scan.merged.length), p
 
 
 def test_capacity_does_not_change_matrices():

@@ -175,3 +175,28 @@ def test_planted_pair_certified_across_lengths():
     res = compute_matrix_profile(t, 32, 5)
     assert res.profile.ip[100] == 400
     assert res.profile.ip[400] == 100
+
+
+def test_sorted_row_matches_equals_per_row_lexsort():
+    t = sm.ingest(random_walk(400, seed=9))
+    pp = compute_matrix_profile(t, 16, 6).partials
+    for length in range(17, 21):
+        pp.advance(length)
+    n_rows = t.n - 20 + 1
+    rng = np.random.default_rng(9)
+    rows = rng.choice(n_rows, 80, replace=False)
+    both = pp.alive[rows, 1] & pp.alive[rows, 3]
+    pp.dist[rows, 3] = pp.dist[rows, 1]           # ties between two neighbors
+    pp.alive[rows[:30], 0] = False                # dead entries with stale finite values
+    assert both.sum() > 20 and np.isfinite(pp.dist[rows[:30], 0]).all()
+    m = 4
+    dists, nbrs = pp.sorted_row_matches(m, n_rows)
+    assert dists.shape == nbrs.shape == (n_rows, m)
+    for i in range(n_rows):
+        sel = pp.alive[i]
+        d, nb = pp.dist[i][sel], pp.nbr[i][sel]
+        order = np.lexsort((nb, d))[:m]
+        take = order.shape[0]
+        assert np.array_equal(dists[i, :take], d[order]), i
+        assert np.array_equal(nbrs[i, :take], nb[order]), i
+        assert np.all(dists[i, take:] == np.inf) and np.all(nbrs[i, take:] == -1)

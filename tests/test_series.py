@@ -3,8 +3,16 @@ import pytest
 
 import seriesmine as sm
 from seriesmine.exceptions import (EmptySeriesError, LengthExceedsSeriesError,
-                                   NonFiniteError, ZeroVarianceError)
+                                   NonFiniteError, OutOfRangeError, ZeroVarianceError)
 from seriesmine.profile import PartialProfiles, compute_matrix_profile
+from seriesmine.series import pair_distance
+from seriesmine.synthetic import random_walk
+
+
+def _shelf_walk(n=300, seed=0, start=100, stop=160):
+    values = random_walk(n, seed=seed)
+    values[start:stop] = values[start]
+    return values
 
 
 def test_ingest_basic():
@@ -100,6 +108,31 @@ def test_cached_stats_and_spectrum_equal_uncached_formulas():
                             size)[length - 1:t.n]
             for _ in range(2):
                 assert np.array_equal(sm.sliding_dot_product(q, t), ref)
+
+
+def test_flat_windows_have_zero_std():
+    # cumulative-sum cancellation leaves the variance of a flat stretch
+    # above the constancy floor; every window of equal values reads 0
+    values = _shelf_walk()
+    t = sm.ingest(values)
+    for length in (8, 16, 60):
+        mu, sd = t.moving_stats(length)
+        s = t._cum[length:] - t._cum[:-length]
+        ss = t._cum2[length:] - t._cum2[:-length]
+        mu_ref = s / length
+        sd_ref = np.sqrt(np.maximum(ss / length - mu_ref * mu_ref, 0.0))
+        flat = np.array([np.all(values[i:i + length] == values[i])
+                         for i in range(t.n - length + 1)])
+        assert flat.sum() == 61 - length
+        assert np.all(sd[flat] == 0.0)
+        assert np.array_equal(sd[~flat], sd_ref[~flat])
+        assert np.array_equal(mu, mu_ref)
+        for i in np.flatnonzero(flat):
+            assert t.stats(int(i), length).sigma == 0.0
+    _, sd8 = t.moving_stats(8)
+    sd8_ref = np.sqrt(np.maximum((t._cum2[8:] - t._cum2[:-8]) / 8
+                                 - ((t._cum[8:] - t._cum[:-8]) / 8) ** 2, 0.0))
+    assert np.any(sd8_ref[100:153] >= t.sigma_floor)    # the case the rule mends
 
 
 def test_cached_arrays_are_read_only():
@@ -243,6 +276,38 @@ def test_distance_scale_offset_invariance():
 def test_pair_distance_symmetric_bitwise():
     rng = np.random.default_rng(11)
     t = sm.ingest(np.cumsum(rng.standard_normal(300)))
-    from seriesmine.series import pair_distance
     for i, j in [(0, 50), (17, 230), (111, 40)]:
         assert pair_distance(t, i, j, 24) == pair_distance(t, j, i, 24)
+
+
+def test_pair_distance_equals_znorm_distance_bitwise():
+    # both sources of window stats: stats() before this length's moving
+    # stats are cached, the cached arrays after
+    t = sm.ingest(_shelf_walk(seed=12))
+    rng = np.random.default_rng(12)
+    for length in (8, 24):
+        pairs = [tuple(int(x) for x in rng.integers(0, t.n - length + 1, size=2))
+                 for _ in range(200)] + [(110, 200)]       # one inside the shelf
+        for fill in (False, True):
+            if fill:
+                t.moving_stats(length)
+            assert (length in t._moving) == fill
+            for i, j in pairs:
+                a, b = min(i, j), max(i, j)
+                sa, sb = t.stats(a, length), t.stats(b, length)
+                d = pair_distance(t, i, j, length)
+                if sa.is_constant or sb.is_constant:
+                    assert d == np.inf
+                    continue
+                qt = float(np.dot(t.window(a, length), t.window(b, length)))
+                assert d == sm.znorm_distance(qt, sa, sb)
+    assert t.stats(110, 8).is_constant
+
+
+def test_pair_distance_out_of_range():
+    t = sm.ingest(random_walk(100, seed=13))
+    for i, j in [(-1, 50), (50, -3), (0, 93), (100, 0)]:
+        with pytest.raises(OutOfRangeError):
+            pair_distance(t, i, j, 8)
+    with pytest.raises(OutOfRangeError):
+        pair_distance(t, 0, 10, 101)

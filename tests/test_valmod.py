@@ -169,6 +169,19 @@ def test_lengths_beyond_half_the_series_equal_oracle():
             assert np.array_equal(v.lengths, om.valmp_length), (seed, p)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_flat_shelf_equals_oracle(seed):
+    values = random_walk(300, seed=seed)
+    values[100:160] = values[100]
+    t = sm.ingest(values)
+    om = sm.brute_force_motifs(t, 8, 24)
+    v = sm.valmod(t, 8, 24, 5)
+    norm = np.where(v.populated, v.norm_distances, np.inf)
+    assert np.allclose(norm, om.valmp_norm, atol=1e-7)
+    assert np.array_equal(v.indices, om.valmp_index)
+    assert np.array_equal(v.lengths, om.valmp_length)
+
+
 def test_cost_reseed_bounds_repair_rows(monkeypatch):
     # the module, not the function that the package binds under the same name
     module = importlib.import_module("seriesmine.valmod")
