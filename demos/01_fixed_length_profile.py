@@ -28,10 +28,11 @@ print(f"motif distance        : {mp[motif_owner]:.6f}")
 
 # Each row keeps the p=5 neighbors with the smallest extension bounds;
 # their scaled maximum certifies matches at longer window lengths.
-row = result.partials.snapshot(motif_owner)
-print(f"\nstored neighbors of {motif_owner}: {row.neighbors.tolist()}")
-print(f"stored distances       : {np.round(row.dists, 4).tolist()}")
-print(f"certification bound    : {row.max_lb:.4f}")
+partials = result.partials
+stored = partials.alive[motif_owner]
+print(f"\nstored neighbors of {motif_owner}: {partials.nbr[motif_owner, stored].tolist()}")
+print(f"stored distances       : {np.round(partials.dist[motif_owner, stored], 4).tolist()}")
+print(f"certification bound    : {partials.thresholds()[motif_owner]:.4f}")
 
 # The exclusion zone keeps a window from matching its own overlap.
 print(f"\nnearest neighbor is always >= ceil(L/2) = {-(-length // 2)} offsets away:",

@@ -17,8 +17,8 @@ distances prunes the per-length work. Brute-force references live in
 
 from .series import (DataSeries, SubseqStats, ingest, sliding_dot_product,
                      advance_dot_products, znorm_distance)
-from .profile import (MatrixProfile, PartialDistanceProfile, PartialProfiles,
-                      ProfileResult, compute_matrix_profile, row_profile)
+from .profile import (MatrixProfile, PartialProfiles, ProfileResult,
+                      compute_matrix_profile, row_profile)
 from .valmod import (VALMP, SubMPResult, certify_step, compute_sub_mp,
                      top_variable_length_motif, update_valmp, valmod)
 from .motifsets import (MotifSet, PairRanking, RankedPair,
@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DataSeries", "SubseqStats", "ingest", "sliding_dot_product",
     "advance_dot_products", "znorm_distance",
-    "MatrixProfile", "PartialDistanceProfile", "PartialProfiles",
-    "ProfileResult", "compute_matrix_profile", "row_profile",
+    "MatrixProfile", "PartialProfiles", "ProfileResult",
+    "compute_matrix_profile", "row_profile",
     "VALMP", "SubMPResult", "certify_step", "compute_sub_mp",
     "top_variable_length_motif", "update_valmp", "valmod",
     "MotifSet", "PairRanking", "RankedPair", "compute_var_length_motif_sets",

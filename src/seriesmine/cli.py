@@ -336,12 +336,6 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest in ("lmin", "lmax", "p", "k", "m", "threads", "top_k",
-                 "length", "column", "baseline_lengths"):
-        if hasattr(args, dest) and isinstance(getattr(args, dest), str):
-            setattr(args, dest, int(getattr(args, dest)))
-    if hasattr(args, "radius_factor") and isinstance(args.radius_factor, str):
-        args.radius_factor = float(args.radius_factor)
 
     try:
         series = _io.read_series(args.input, args.column)

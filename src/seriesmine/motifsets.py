@@ -3,10 +3,8 @@
 Ranked pairs are keyed by length-normalized distance so that pairs of
 different lengths compete on equal footing. Each ranked pair later becomes a
 motif set: every window within radius ``r = D * pair_distance`` of either
-anchor joins, where D is the user's radius factor. Whenever a pair's stored
-partial profile certifies the whole range (its scaled bound exceeds r), the
-members are read straight from the stored entries; otherwise one full
-distance row is recomputed.
+anchor joins, where D is the user's radius factor. Each anchor's candidates
+come from one full distance row at the pair's length.
 
 Sets are built best pair first, and every window consumed by a set is removed
 from the search space, so the returned sets are pairwise disjoint — including
@@ -17,28 +15,26 @@ window lengths.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import policy
 from .exceptions import InvalidParametersError
-from .profile import PartialDistanceProfile, PartialProfiles, row_profile
+from .profile import row_profile
 from .series import DataSeries
 from .valmod import VALMP, update_valmp
 
 
 @dataclass
 class RankedPair:
-    """A candidate motif pair with optional attached partial profiles."""
+    """A candidate motif pair."""
 
     off1: int
     off2: int
     distance: float
     length: int
     norm_distance: float
-    prof1: PartialDistanceProfile | None = None
-    prof2: PartialDistanceProfile | None = None
 
     @property
     def key(self):
@@ -49,8 +45,7 @@ class PairRanking:
     """Bounded best-K pair collection keyed by normalized distance.
 
     Mirrored improvements collapse onto one canonical (min, max) offset pair;
-    re-pushing an existing pair keeps whichever scores better. Evicted pairs
-    release their attached profiles.
+    re-pushing an existing pair keeps whichever scores better.
     """
 
     def __init__(self, capacity: int):
@@ -95,48 +90,18 @@ class PairRanking:
             self._remove(self._items[-1])
         return True
 
-    def attach(self, partials: PartialProfiles):
-        """Snapshot partial profiles for surviving pairs found at this length."""
-        for pair in self._items:
-            if pair.prof1 is None and pair.length == partials.length:
-                pair.prof1 = partials.snapshot(pair.off1)
-                pair.prof2 = partials.snapshot(pair.off2)
-
 
 def update_valmp_for_motif_sets(valmp: VALMP, mp_values, ip, n_dp: int, length: int,
-                                partials: PartialProfiles, ranking: PairRanking) -> VALMP:
+                                ranking: PairRanking) -> VALMP:
     """The ranking-aware profile fold: update the per-offset best matches and
-    offer every improving pair to the bounded ranking, attaching partial
-    profiles to the pairs that survive in the top K."""
+    offer every improving pair to the bounded ranking."""
     idx = update_valmp(valmp, mp_values, ip, n_dp, length)
     mp_values = np.asarray(mp_values, dtype=np.float64)
     ip = np.asarray(ip)
     for i in idx:
         ranking.push(int(i), int(ip[i]), float(mp_values[i]), length,
                      float(valmp.norm_distances[i]))
-    ranking.attach(partials)
     return valmp
-
-
-def _full_row_snapshot(series: DataSeries, owner: int, length: int) -> PartialDistanceProfile:
-    """A snapshot holding the entire (valid) distance row; certifies any radius."""
-    dist, _, qt_row = row_profile(series, owner, length)
-    sel = np.flatnonzero(np.isfinite(dist))
-    return PartialDistanceProfile(owner=owner, length=length,
-                                  neighbors=sel.astype(np.int64),
-                                  qts=qt_row[sel], dists=dist[sel],
-                                  max_lb=np.inf)
-
-
-def push_repaired_pair(ranking: PairRanking, series: DataSeries,
-                       off1: int, off2: int, distance: float, length: int):
-    """Offer a pair discovered by the repair pass; profiles from fresh full rows."""
-    accepted = ranking.push(off1, off2, distance, length,
-                            distance * float(np.sqrt(1.0 / length)))
-    if accepted:
-        pair = ranking._by_pair[(min(off1, off2), max(off1, off2))]
-        pair.prof1 = _full_row_snapshot(series, pair.off1, length)
-        pair.prof2 = _full_row_snapshot(series, pair.off2, length)
 
 
 @dataclass
@@ -156,12 +121,8 @@ class MotifSet:
         return int(self.members.shape[0])
 
 
-def _range_members(series, prof, owner, length, r):
-    """Offsets within distance r of the owner; certified from the snapshot
-    when its bound allows, else recomputed from one full row."""
-    if prof is not None and prof.max_lb > r:
-        sel = prof.dists < r
-        return np.sort(prof.neighbors[sel])
+def _range_members(series, owner, length, r):
+    """Offsets within distance r of the owner, from one full distance row."""
     dist, _, _ = row_profile(series, owner, length)
     return np.flatnonzero(dist < r)
 
@@ -192,8 +153,8 @@ def compute_var_length_motif_sets(series: DataSeries, ranking: PairRanking,
         if pair.off1 in consumed or pair.off2 in consumed:
             continue
         r = pair.distance * radius_factor
-        side1 = _range_members(series, pair.prof1, pair.off1, pair.length, r)
-        side2 = _range_members(series, pair.prof2, pair.off2, pair.length, r)
+        side1 = _range_members(series, pair.off1, pair.length, r)
+        side2 = _range_members(series, pair.off2, pair.length, r)
         excl = policy.exclusion_zone(pair.length)
         admitted = [pair.off1, pair.off2]
         for c in sorted(set(map(int, side1)) | set(map(int, side2))):

@@ -44,23 +44,6 @@ class MatrixProfile:
     length: int
 
 
-@dataclass
-class PartialDistanceProfile:
-    """Snapshot of one row's stored neighbors at a fixed length.
-
-    ``max_lb`` bounds the true distance (at ``length``) of every pair the
-    row does NOT store; entries with ``dists < r`` are therefore the complete
-    answer to a range query of radius ``r`` whenever ``max_lb > r``.
-    """
-
-    owner: int
-    length: int
-    neighbors: np.ndarray
-    qts: np.ndarray
-    dists: np.ndarray
-    max_lb: float
-
-
 class PartialProfiles:
     """All rows' stored neighbor entries, advanced in lockstep across lengths.
 
@@ -161,15 +144,6 @@ class PartialProfiles:
                                 / sd[:rows][live])
         return out
 
-    def row_minima(self):
-        """Per-row (min distance, neighbor, live-entry count); smaller neighbor wins ties."""
-        dmin = np.min(self.dist, axis=1, initial=np.inf, where=self.alive)
-        tied = self.alive & (self.dist == dmin[:, None])
-        nbr_min = np.min(np.where(tied, self.nbr, np.iinfo(np.int64).max), axis=1)
-        counts = self.alive.sum(axis=1)
-        nbr_min = np.where(np.isfinite(dmin), nbr_min, -1)
-        return dmin, nbr_min, counts
-
     def sorted_row_matches(self, m: int, n_rows: int):
         """The m (<= p) best stored matches of each of the first ``n_rows`` rows.
 
@@ -185,21 +159,6 @@ class PartialProfiles:
         nbrs = np.take_along_axis(nbr, order, axis=1)
         nbrs[nbrs == _DEAD_NBR] = -1
         return dists, nbrs
-
-    def snapshot(self, i: int) -> PartialDistanceProfile:
-        """Copy one row for later range queries at the current length."""
-        sel = self.alive[i]
-        _, sd = self.series.moving_stats(self.length)
-        if self.owner_ok[i] and i < sd.shape[0] and sd[i] > 0.0:
-            max_lb = float(self.m_f[i] * self.sigma_base[i] / sd[i])
-        else:
-            max_lb = np.inf
-        return PartialDistanceProfile(
-            owner=i, length=self.length,
-            neighbors=self.nbr[i, sel].copy(),
-            qts=self.qt[i, sel].copy(),
-            dists=self.dist[i, sel].copy(),
-            max_lb=max_lb)
 
 
 @dataclass

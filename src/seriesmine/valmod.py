@@ -132,10 +132,9 @@ def compute_sub_mp(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
     _, sd = series.moving_stats(new_length)
     eligible = sd[:n_dp] >= series.sigma_floor
 
-    dmin, nbr, _ = list_dp.row_minima()
+    best, best_nbr = list_dp.sorted_row_matches(1, n_dp)
+    dmin, nbr = best[:, 0], best_nbr[:, 0]
     thr = list_dp.thresholds()[:n_dp].copy()
-    dmin = dmin[:n_dp].copy()
-    nbr = nbr[:n_dp]
     # rows with no usable stored data (e.g. resurrected offsets) certify nothing
     dead = eligible & ~list_dp.owner_ok[:n_dp]
     thr[dead] = 0.0
@@ -233,16 +232,16 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
     if ranking is not None:
         from .motifsets import update_valmp_for_motif_sets as _ms_update
 
-    def fold(valmp, mp_values, ip, n_dp, length, partials):
+    def fold(valmp, mp_values, ip, n_dp, length):
         if ranking is None:
             return update_valmp(valmp, mp_values, ip, n_dp, length)
-        return _ms_update(valmp, mp_values, ip, n_dp, length, partials, ranking)
+        return _ms_update(valmp, mp_values, ip, n_dp, length, ranking)
 
     res = compute_matrix_profile(series, lmin, p)
     partials = res.partials
     n0 = series.n - lmin + 1
     valmp = VALMP(n0)
-    fold(valmp, res.profile.mp, res.profile.ip, n0, lmin, partials)
+    fold(valmp, res.profile.mp, res.profile.ip, n0, lmin)
     if trace is not None:
         motif = _written_motif(res.profile.mp, res.profile.ip)
         trace.add_length(lmin, n_profiles=n0, n_valid=n0, n_nonvalid=0,
@@ -261,7 +260,7 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
             if owed > n_dp:
                 reseed = "cost"
         if reseed is None:
-            fold(valmp, sub.values, sub.indices, n_dp, length, partials)
+            fold(valmp, sub.values, sub.indices, n_dp, length)
             for i, floor_value in sub.floors:
                 floors.setdefault(i, []).append((floor_value, length))
             motif = _written_motif(sub.values, sub.indices)
@@ -269,7 +268,7 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
         else:
             res = compute_matrix_profile(series, length, p)
             partials = res.partials
-            fold(valmp, res.profile.mp, res.profile.ip, n_dp, length, partials)
+            fold(valmp, res.profile.mp, res.profile.ip, n_dp, length)
             motif = _written_motif(res.profile.mp, res.profile.ip)
             owed = 0
             # rows already recomputed in this step, plus the rescan's share
@@ -311,8 +310,8 @@ def _repair(series, valmp, floors, ranking, trace):
                 valmp.indices[i] = j
                 valmp.populated[i] = True
                 if ranking is not None:
-                    from .motifsets import push_repaired_pair
-                    push_repaired_pair(ranking, series, i, j, float(dist[j]), length)
+                    d = float(dist[j])
+                    ranking.push(i, j, d, length, d * float(np.sqrt(1.0 / length)))
 
 
 def top_variable_length_motif(valmp: VALMP):

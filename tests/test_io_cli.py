@@ -177,6 +177,13 @@ def test_env_var_overrides(series_file, tmp_path, monkeypatch):
     assert doc["parameters"]["lmin"] == 8
     assert doc["parameters"]["p"] == 3
 
+    monkeypatch.setenv("MINE_RADIUS_FACTOR", "2.5")
+    monkeypatch.setenv("MINE_TOP_K", "7")
+    assert main(["motif-sets", "--input", series_file, "--output", out]) == 0
+    params = json.load(open(out))["parameters"]
+    assert type(params["radius_factor"]) is float and params["radius_factor"] == 2.5
+    assert type(params["top_k"]) is int and params["top_k"] == 7
+
 
 def test_threads_flag_identical_output(series_file, tmp_path):
     outs = []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import seriesmine as sm
+from seriesmine import policy
 from seriesmine.motifsets import PairRanking
 from seriesmine.oracle import naive_distance_matrix
 from seriesmine.synthetic import planted_cluster_series, planted_pair_series, random_walk
@@ -27,12 +28,10 @@ def test_ranking_dedups_mirrored_pairs():
     assert next(iter(ranking)).norm_distance == 0.20
 
 
-def test_ranking_eviction_releases_profiles():
+def test_ranking_eviction_drops_worst_pair():
     ranking = PairRanking(2)
     ranking.push(1, 20, 1.0, 8, 0.10)
     ranking.push(2, 30, 2.0, 8, 0.20)
-    worst = ranking._by_pair[(2, 30)]
-    worst.prof1 = object()
     assert ranking.push(3, 40, 1.5, 8, 0.15)
     assert (2, 30) not in ranking
     assert len(ranking) == 2
@@ -122,21 +121,47 @@ def test_min_frequency_post_filter():
     assert len(all_sets) > 0 and filtered == []
 
 
-def test_range_completeness_certified_vs_recomputed():
-    # when the stored bound certifies the radius, members equal the oracle
-    # range query; exhaustive over the ranked pairs of a small series
-    t = sm.ingest(planted_cluster_series(500, 32, (60, 200, 340), jitter=0.03, seed=4))
-    ranking = PairRanking(5)
-    sm.valmod(t, 16, 32, 10, ranking=ranking)
-    sets = sm.compute_var_length_motif_sets(t, ranking, radius_factor=2.0)
+def _oracle_sets(t, ranking, radius_factor):
+    """Replay the admission rule on brute-force distance rows: ascending
+    offsets within r of either anchor, skipping consumed offsets and any
+    overlap with an admitted member."""
+    rows = {}
+    for length in {pair.length for pair in ranking}:
+        dists = naive_distance_matrix(t, length)
+        for pair in ranking:
+            if pair.length == length:
+                rows[pair.off1, length] = dists[pair.off1]
+                rows[pair.off2, length] = dists[pair.off2]
     consumed = set()
-    for s in sets:
-        dists = naive_distance_matrix(t, s.length)
-        a, b = s.anchor
-        in_range = (set(np.flatnonzero((dists[a] < s.radius) |
-                                       (dists[b] < s.radius)).tolist())
-                    | {a, b})
-        # engine members = oracle range minus overlap/consumed filtering
-        assert set(map(int, s.members)) <= in_range
-        assert a in set(map(int, s.members)) and b in set(map(int, s.members))
-        consumed |= set(map(int, s.members))
+    sets = []
+    for pair in ranking:
+        a, b, length = pair.off1, pair.off2, pair.length
+        if a in consumed or b in consumed:
+            continue
+        r = pair.distance * radius_factor
+        excl = policy.exclusion_zone(length)
+        admitted = [a, b]
+        for c in np.flatnonzero((rows[a, length] < r) | (rows[b, length] < r)):
+            c = int(c)
+            if c not in consumed and all(abs(c - x) >= excl for x in admitted):
+                admitted.append(c)
+        sets.append(((a, b), length, sorted(admitted)))
+        consumed.update(admitted)
+    return sets
+
+
+@pytest.mark.parametrize("values, lmin, lmax, p, top_k, radius_factor", [
+    (planted_cluster_series(1800, 48, (200, 500, 800, 1100, 1400), jitter=0.02, seed=0),
+     32, 48, 8, 40, 4.0),
+    (planted_cluster_series(500, 32, (60, 200, 340), jitter=0.03, seed=4),
+     16, 32, 10, 5, 2.0),
+    (random_walk(800, seed=1), 32, 64, 10, 40, 4.0),
+    (random_walk(600, seed=3), 16, 40, 50, 20, 1.0),
+], ids=["cluster-1800", "cluster-500", "walk-800", "walk-600"])
+def test_every_motif_set_equals_oracle(values, lmin, lmax, p, top_k, radius_factor):
+    t = sm.ingest(values)
+    ranking = PairRanking(top_k)
+    sm.valmod(t, lmin, lmax, p, ranking=ranking)
+    sets = sm.compute_var_length_motif_sets(t, ranking, radius_factor)
+    got = [(s.anchor, s.length, s.members.tolist()) for s in sets]
+    assert got == _oracle_sets(t, ranking, radius_factor)
