@@ -15,8 +15,7 @@ distances prunes the per-length work. Brute-force references live in
 ``seriesmine.oracle``.
 """
 
-from .series import (DataSeries, SubseqStats, ingest, sliding_dot_product,
-                     advance_dot_products, znorm_distance)
+from .series import DataSeries, ingest, sliding_dot_product, advance_dot_products
 from .profile import (MatrixProfile, PartialProfiles, ProfileResult,
                       compute_matrix_profile, row_profile)
 from .valmod import (VALMP, SubMPResult, certify_step, compute_sub_mp,
@@ -29,14 +28,13 @@ from .discords import (DiscordMatrix, DiscordScan, VariableLengthDiscordMatrix,
                        update_fixed_length_discords,
                        update_variable_length_discords)
 from .oracle import brute_force_discords, brute_force_motifs
-from .metrics import PruningReport, RunTrace, pruning_report, tlb
+from .metrics import PruningReport, RunTrace, pruning_report
 from .io import read_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataSeries", "SubseqStats", "ingest", "sliding_dot_product",
-    "advance_dot_products", "znorm_distance",
+    "DataSeries", "ingest", "sliding_dot_product", "advance_dot_products",
     "MatrixProfile", "PartialProfiles", "ProfileResult",
     "compute_matrix_profile", "row_profile",
     "VALMP", "SubMPResult", "certify_step", "compute_sub_mp",
@@ -47,6 +45,6 @@ __all__ = [
     "topkm_discord_discovery", "topkm_next_length",
     "update_fixed_length_discords", "update_variable_length_discords",
     "brute_force_discords", "brute_force_motifs",
-    "PruningReport", "RunTrace", "pruning_report", "tlb",
+    "PruningReport", "RunTrace", "pruning_report",
     "read_series",
 ]

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``mine motifs``, ``mine motif-sets``, ``mine discords``,
-``mine mp --length L``, ``mine oracle {motifs|discords}``, ``mine bench``.
+``mine mp --length L``, ``mine oracle {motifs|discords}``.
 
 Every flag can also be supplied through an environment variable named
 ``MINE_<FLAG>`` (dashes to underscores, upper case). Explicit flags win over
@@ -46,7 +46,6 @@ DEFAULTS = {
     "m": 1,
     "threads": 1,
     "format": "json",
-    "baseline_lengths": 1,
 }
 
 
@@ -114,14 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(odis)
     odis.add_argument("--k", type=int, default=_env_default("k", DEFAULTS["k"]))
     odis.add_argument("--m", type=int, default=_env_default("m", DEFAULTS["m"]))
-
-    bench = subs.add_parser("bench", help="range run vs per-length re-execution")
-    _add_common(bench)
-    bench.set_defaults(format=_env_default("format", "csv"))
-    bench.add_argument("--baseline-lengths", type=int, dest="baseline_lengths",
-                       default=_env_default("baseline_lengths", DEFAULTS["baseline_lengths"]),
-                       help="lengths actually re-run for the baseline "
-                            "(extrapolated to the full range)")
     return parser
 
 
@@ -292,33 +283,6 @@ def _run_oracle_discords(args, series):
     return _io.make_document("oracle-discords", _params(args), series.n, payload, wall)
 
 
-def _run_bench(args, series):
-    trace = RunTrace()
-    t0 = time.perf_counter()
-    valmod(series, args.lmin, args.lmax, args.p, trace=trace)
-    range_seconds = time.perf_counter() - t0
-
-    n_lengths = args.lmax - args.lmin + 1
-    sample = np.linspace(args.lmin, args.lmax,
-                         min(max(args.baseline_lengths, 1), n_lengths)).astype(int)
-    sample = sorted(set(int(v) for v in sample))
-    per_length_seconds = []
-    for length in sample:
-        t0 = time.perf_counter()
-        compute_matrix_profile(series, length, args.p)
-        per_length_seconds.append(time.perf_counter() - t0)
-    baseline = float(np.mean(per_length_seconds)) * n_lengths
-    payload = {
-        "range_seconds": range_seconds,
-        "baseline_lengths_measured": sample,
-        "baseline_seconds_estimated": baseline,
-        "speedup": baseline / range_seconds if range_seconds > 0 else None,
-        "pruning": _pruning_payload(trace),
-    }
-    doc = _io.make_document("bench", _params(args), series.n, payload, range_seconds)
-    return doc
-
-
 def _params(args):
     skip = {"command", "oracle_kind", "input", "output", "format", "trace"}
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
@@ -329,7 +293,6 @@ _RUNNERS = {
     "motif-sets": _run_motif_sets,
     "discords": _run_discords,
     "mp": _run_mp,
-    "bench": _run_bench,
 }
 
 

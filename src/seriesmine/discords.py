@@ -213,7 +213,7 @@ def topkm_next_length(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
     _, sd = series.moving_stats(new_length)
     stored, stored_nbrs = list_dp.sorted_row_matches(m, n_dp)
     mth = stored[:, m - 1]
-    certified = list_dp.owner_ok[:n_dp] & np.isfinite(mth) & (mth < thr)
+    certified = mth < thr
     owners = np.flatnonzero(sd >= series.sigma_floor).tolist()
     dkm = DiscordMatrix.empty(k, m, new_length)
     n_valid, n_nonvalid, n_recomputed = _replay(

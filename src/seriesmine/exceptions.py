@@ -28,10 +28,6 @@ class OutOfRangeError(SeriesMineError):
     """A window extension would run past the end of the series."""
 
 
-class ZeroVarianceError(SeriesMineError):
-    """A constant (zero-variance) window where a z-normalized quantity is needed."""
-
-
 class SeriesTooShortError(SeriesMineError):
     """Series too short for the requested window length or length range."""
 
@@ -46,7 +42,3 @@ class InvalidParametersError(SeriesMineError):
 
 class UnpopulatedError(SeriesMineError):
     """A variable-length profile holds no populated entries."""
-
-
-class ZeroDistanceError(SeriesMineError):
-    """Tightness ratio requested for a zero true distance."""

@@ -29,30 +29,33 @@ class InputFormatError(SeriesMineError):
 def read_series(path: str, column: int | None = None) -> DataSeries:
     """Load a series file: one value per line, or one CSV column."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        if column is None:
-            for lineno, line in enumerate(fh, 1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise InputFormatError(f"{path}:{lineno}: not a number: {text!r}")
-        else:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, 1):
-                if not row:
-                    continue
-                if not 0 <= column < len(row):
-                    raise InputFormatError(f"{path}:{lineno}: no column {column}")
-                try:
-                    values.append(float(row[column]))
-                except ValueError:
-                    if lineno == 1:   # tolerate a header row
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if column is None:
+                for lineno, line in enumerate(fh, 1):
+                    text = line.strip()
+                    if not text:
                         continue
-                    raise InputFormatError(
-                        f"{path}:{lineno}: not a number: {row[column]!r}")
+                    try:
+                        values.append(float(text))
+                    except ValueError:
+                        raise InputFormatError(f"{path}:{lineno}: not a number: {text!r}")
+            else:
+                reader = csv.reader(fh)
+                for lineno, row in enumerate(reader, 1):
+                    if not row:
+                        continue
+                    if not 0 <= column < len(row):
+                        raise InputFormatError(f"{path}:{lineno}: no column {column}")
+                    try:
+                        values.append(float(row[column]))
+                    except ValueError:
+                        if lineno == 1:   # tolerate a header row
+                            continue
+                        raise InputFormatError(
+                            f"{path}:{lineno}: not a number: {row[column]!r}")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return ingest(values)
 
 

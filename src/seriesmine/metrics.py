@@ -4,22 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exceptions import ZeroDistanceError
-
-
-def tlb(lb: float, dist: float) -> float:
-    """Tightness of a lower bound: lb / dist, in [0, 1].
-
-    1 means the bound equals the true distance. Asserts soundness first —
-    a bound more than 1e-9 above the distance is a bug, not a ratio.
-    """
-    if dist <= 0.0:
-        raise ZeroDistanceError("tightness undefined for zero distance")
-    if lb > dist + 1e-9:
-        raise ValueError(f"lower bound {lb} exceeds true distance {dist}")
-    return min(1.0, max(0.0, lb / dist))
-
-
 @dataclass
 class LengthTrace:
     """Per-length pruning counters, plus the certified motif when tracing one.

@@ -63,7 +63,6 @@ class PartialProfiles:
         self.dist = np.full((n_rows, p), np.inf)
         self.alive = np.zeros((n_rows, p), dtype=bool)
         self.owner_ok = np.zeros(n_rows, dtype=bool)
-        self.base = np.full(n_rows, length, dtype=np.int64)
         self.sigma_base = np.zeros(n_rows)
         self.m_f = np.full(n_rows, np.inf)
         self._owners = np.arange(n_rows, dtype=np.int64)[:, None]
@@ -79,7 +78,6 @@ class PartialProfiles:
         self.alive[i, :k] = True
         self.alive[i, k:] = False
         self.owner_ok[i] = True
-        self.base[i] = self.length
         self.sigma_base[i] = sigma_base
         self.m_f[i] = m_f
 

@@ -17,8 +17,6 @@ All offsets are 0-based. A window of length L at offset i covers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import fft as _fft
 
@@ -28,25 +26,7 @@ from .exceptions import (
     LengthExceedsSeriesError,
     NonFiniteError,
     OutOfRangeError,
-    ZeroVarianceError,
 )
-
-
-@dataclass(frozen=True)
-class SubseqStats:
-    """Running statistics of one window: sums, mean, std, constancy floor."""
-
-    offset: int
-    length: int
-    s: float
-    ss: float
-    mu: float
-    sigma: float
-    sigma_floor: float
-
-    @property
-    def is_constant(self) -> bool:
-        return self.sigma < self.sigma_floor
 
 
 class DataSeries:
@@ -83,23 +63,19 @@ class DataSeries:
     def window(self, i: int, length: int) -> np.ndarray:
         return self.values[i:i + length]
 
-    def window_sums(self, i: int, length: int):
-        """Plain and squared sum of the window at offset i."""
-        s = self._cum[i + length] - self._cum[i]
-        ss = self._cum2[i + length] - self._cum2[i]
-        return float(s), float(ss)
+    def _window_stats(self, offsets: np.ndarray, length: int):
+        """Mean and std of the windows of one length at the given offsets.
 
-    def stats(self, i: int, length: int) -> SubseqStats:
-        """O(1) statistics of one window; sigma is 0 for a flat window and
-        clamped at 0 if the variance underflows."""
-        if i < 0 or i + length > self.n:
-            raise OutOfRangeError(f"window ({i}, {length}) outside series of {self.n} points")
-        s, ss = self.window_sums(i, length)
-        mu = s / length
-        var = ss / length - mu * mu
-        flat = self._changes[i + length - 1] == self._changes[i]
-        sigma = float(np.sqrt(var)) if var > 0.0 and not flat else 0.0
-        return SubseqStats(i, length, s, ss, mu, sigma, self.sigma_floor)
+        A flat window gets std exactly 0, and a variance that round-off
+        drives below 0 is clamped there.
+        """
+        end = offsets + length
+        mu = (self._cum[end] - self._cum[offsets]) / length
+        var = (self._cum2[end] - self._cum2[offsets]) / length - mu * mu
+        np.maximum(var, 0.0, out=var)
+        sd = np.sqrt(var)
+        sd[self._changes[end - 1] == self._changes[offsets]] = 0.0
+        return mu, sd
 
     def moving_stats(self, length: int):
         """Mean and std of every window of the given length (two read-only
@@ -108,13 +84,7 @@ class DataSeries:
             raise LengthExceedsSeriesError(f"window length {length} > series length {self.n}")
         cached = self._moving.get(length)
         if cached is None:
-            s = self._cum[length:] - self._cum[:-length]
-            ss = self._cum2[length:] - self._cum2[:-length]
-            mu = s / length
-            var = ss / length - mu * mu
-            np.maximum(var, 0.0, out=var)
-            sd = np.sqrt(var)
-            sd[self._changes[length - 1:] == self._changes[:self.n - length + 1]] = 0.0
+            mu, sd = self._window_stats(np.arange(self.n - length + 1), length)
             mu.setflags(write=False)
             sd.setflags(write=False)
             cached = self._moving[length] = (mu, sd)
@@ -194,8 +164,9 @@ def pair_distance(series: DataSeries, i: int, j: int, length: int) -> float:
     canonical (min, max) order, so mirrored computations of the same pair
     tie exactly — which the ranking comparisons rely on. The window stats
     are read from the ``moving_stats`` arrays when this length's are cached,
-    and otherwise come from :meth:`DataSeries.stats`: both hold the same
+    and otherwise computed for the two offsets alone: both hold the same
     bits, and a one-off pair does not pay (or keep) an O(n) cache fill.
+    A pair with a constant window is +inf apart.
     """
     a, b = (i, j) if i <= j else (j, i)
     if a < 0 or b + length > series.n:
@@ -203,25 +174,16 @@ def pair_distance(series: DataSeries, i: int, j: int, length: int) -> float:
             f"window pair ({i}, {j}) of length {length} outside series of {series.n} points")
     cached = series._moving.get(length)
     if cached is None:
-        sa, sb = series.stats(a, length), series.stats(b, length)
-        mu_a, sd_a, mu_b, sd_b = sa.mu, sa.sigma, sb.mu, sb.sigma
+        mu, sd = series._window_stats(np.array([a, b]), length)
+        ia, ib = 0, 1
     else:
         mu, sd = cached
-        mu_a, sd_a, mu_b, sd_b = float(mu[a]), float(sd[a]), float(mu[b]), float(sd[b])
+        ia, ib = a, b
+    mu_a, sd_a, mu_b, sd_b = float(mu[ia]), float(sd[ia]), float(mu[ib]), float(sd[ib])
     if sd_a < series.sigma_floor or sd_b < series.sigma_floor:
         return float(np.inf)
     qt = float(np.dot(series.window(a, length), series.window(b, length)))
     return _znorm(qt, length, mu_a, sd_a, mu_b, sd_b)
-
-
-def znorm_distance(qt: float, a: SubseqStats, b: SubseqStats) -> float:
-    """Z-normalized Euclidean distance of two equal-length windows from their dot product."""
-    if a.length != b.length:
-        raise ValueError("windows must have equal length")
-    if a.is_constant or b.is_constant:
-        raise ZeroVarianceError(
-            f"constant window at offset {a.offset if a.is_constant else b.offset}")
-    return _znorm(qt, a.length, a.mu, a.sigma, b.mu, b.sigma)
 
 
 def _znorm(qt: float, length: int, mu_a: float, sigma_a: float,

@@ -136,13 +136,9 @@ def compute_sub_mp(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
     dmin, nbr = best[:, 0], best_nbr[:, 0]
     thr = list_dp.thresholds()[:n_dp].copy()
     # rows with no usable stored data (e.g. resurrected offsets) certify nothing
-    dead = eligible & ~list_dp.owner_ok[:n_dp]
-    thr[dead] = 0.0
-    dmin[~eligible] = np.inf
-    thr[~eligible] = np.inf
+    thr[eligible & ~list_dp.owner_ok[:n_dp]] = 0.0
 
     valid, min_dist_abs, min_lb_abs, b_best_m = certify_step(dmin, thr)
-    valid &= eligible
     values = np.where(valid, dmin, np.nan)
     indices = np.where(valid, nbr, -1)
     nonvalid_rows = np.flatnonzero(eligible & ~valid)

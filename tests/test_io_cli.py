@@ -10,6 +10,11 @@ from seriesmine.io import InputFormatError, document_to_csv, read_series, write_
 from seriesmine.synthetic import planted_cluster_series, random_walk
 
 
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture
 def series_file(tmp_path):
     path = tmp_path / "series.txt"
@@ -36,6 +41,10 @@ def test_read_series_rejects_garbage(tmp_path):
     path.write_text("1.0\nnot-a-number\n")
     with pytest.raises(InputFormatError):
         read_series(str(path))
+    path.write_bytes(b"1.0\n\xff\n")
+    with pytest.raises(InputFormatError, match="not UTF-8") as exc:
+        read_series(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_csv_serialization_keeps_17_digits(tmp_path):
@@ -61,7 +70,7 @@ def test_motifs_output_shape_and_determinism(series_file, tmp_path):
             "--p", "5"]
     assert main(args + ["--output", out1]) == 0
     assert main(args + ["--output", out2]) == 0
-    a, b = json.load(open(out1)), json.load(open(out2))
+    a, b = _load(out1), _load(out2)
     assert len(a["distances"]) == 400 - 8 + 1
     a.pop("timing"), b.pop("timing")
     assert a == b
@@ -72,7 +81,7 @@ def test_motifs_cli_matches_oracle_cli(series_file, tmp_path):
     common = ["--input", series_file, "--lmin", "8", "--lmax", "12", "--trace"]
     assert main(["motifs"] + common + ["--p", "5", "--output", eng]) == 0
     assert main(["oracle", "motifs"] + common + ["--output", orc]) == 0
-    e, o = json.load(open(eng)), json.load(open(orc))
+    e, o = _load(eng), _load(orc)
     for key in ("normDistances", "lengths", "indices"):
         ve, vo = e[key], o[key]
         assert len(ve) == len(vo)
@@ -96,7 +105,7 @@ def test_discords_cli_matches_oracle_cli(series_file, tmp_path):
     assert main(["discords"] + common + ["--p", "5", "--per-length",
                                          "--output", eng]) == 0
     assert main(["oracle", "discords"] + common + ["--output", orc]) == 0
-    e, o = json.load(open(eng)), json.load(open(orc))
+    e, o = _load(eng), _load(orc)
     assert [c["offset"] for c in e["merged"]] == [c["offset"] for c in o["merged"]]
     assert [c["length"] for c in e["merged"]] == [c["length"] for c in o["merged"]]
     for le, lo in zip(e["per_length"], o["per_length"]):
@@ -110,7 +119,7 @@ def test_motif_sets_cli_disjoint_lint(tmp_path):
     out = str(tmp_path / "sets.json")
     assert main(["motif-sets", "--input", str(path), "--lmin", "32", "--lmax", "48",
                  "--p", "8", "--top-k", "10", "--output", out]) == 0
-    doc = json.load(open(out))
+    doc = _load(out)
     assert doc["disjoint"] is True
     assert doc["sets"][0]["frequency"] == 5
     seen = set()
@@ -123,7 +132,7 @@ def test_mp_subcommand(series_file, tmp_path):
     out = str(tmp_path / "mp.json")
     assert main(["mp", "--input", series_file, "--length", "16", "--p", "5",
                  "--output", out]) == 0
-    doc = json.load(open(out))
+    doc = _load(out)
     assert len(doc["mp"]) == 400 - 16 + 1
     assert doc["schema_version"] == 1
 
@@ -161,10 +170,14 @@ def test_negative_column_rejected(tmp_path):
     assert main(["mp", "--input", str(path), "--column", "-1", "--length", "4"]) == 2
 
 
-def test_io_exit_code_for_missing_file(capsys):
+def test_io_exit_code_for_missing_file(tmp_path, capsys):
     rc = main(["motifs", "--input", "/nonexistent/series.txt",
                "--lmin", "8", "--lmax", "16"])
     assert rc == 2
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"1.0\n\xff\n")
+    assert main(["mp", "--input", str(path), "--length", "4"]) == 2
+    assert capsys.readouterr().err.startswith("mine: input error:")
 
 
 def test_env_var_overrides(series_file, tmp_path, monkeypatch):
@@ -173,14 +186,14 @@ def test_env_var_overrides(series_file, tmp_path, monkeypatch):
     monkeypatch.setenv("MINE_LMAX", "12")
     monkeypatch.setenv("MINE_P", "3")
     assert main(["motifs", "--input", series_file, "--output", out]) == 0
-    doc = json.load(open(out))
+    doc = _load(out)
     assert doc["parameters"]["lmin"] == 8
     assert doc["parameters"]["p"] == 3
 
     monkeypatch.setenv("MINE_RADIUS_FACTOR", "2.5")
     monkeypatch.setenv("MINE_TOP_K", "7")
     assert main(["motif-sets", "--input", series_file, "--output", out]) == 0
-    params = json.load(open(out))["parameters"]
+    params = _load(out)["parameters"]
     assert type(params["radius_factor"]) is float and params["radius_factor"] == 2.5
     assert type(params["top_k"]) is int and params["top_k"] == 7
 
@@ -192,7 +205,7 @@ def test_threads_flag_identical_output(series_file, tmp_path):
         assert main(["motifs", "--input", series_file, "--lmin", "8",
                      "--lmax", "16", "--p", "5", "--threads", threads,
                      "--output", out]) == 0
-        doc = json.load(open(out))
+        doc = _load(out)
         doc.pop("timing")
         doc["parameters"].pop("threads")
         outs.append(json.dumps(doc, sort_keys=True))
@@ -200,21 +213,16 @@ def test_threads_flag_identical_output(series_file, tmp_path):
 
 
 def test_bench_accounting(series_file, tmp_path):
-    out = str(tmp_path / "bench.csv")
-    assert main(["bench", "--input", series_file, "--lmin", "16", "--lmax", "16",
-                 "--p", "5", "--output", out]) == 0
-    text = open(out).read()
-    rows = [line.split(",") for line in text.splitlines() if line]
-    kv = {r[0]: r[1] for r in rows if len(r) == 2}
-    # single-length range: the comparison runs the same work twice
-    speedup = float(kv["speedup"])
-    assert 0.1 < speedup < 10.0
-    # per-length pruning counts sum to the reported totals
-    header_idx = next(i for i, line in enumerate(text.splitlines())
-                      if line.startswith("[pruning.per_length]"))
-    lines = text.splitlines()[header_idx + 1:]
-    cols = lines[0].split(",")
-    table = [dict(zip(cols, line.split(","))) for line in lines[1:] if line]
-    assert sum(int(r["valid"]) for r in table) == int(float(kv["pruning.totals.valid"]))
-    assert sum(int(r["recomputed"]) for r in table) == \
-        int(float(kv["pruning.totals.recomputed"]))
+    # the CSV trace's per-length pruning table sums to its totals
+    out = str(tmp_path / "trace.csv")
+    assert main(["motifs", "--input", series_file, "--lmin", "16", "--lmax", "24",
+                 "--p", "5", "--trace", "--format", "csv", "--output", out]) == 0
+    with open(out) as fh:
+        lines = fh.read().splitlines()
+    kv = {r[0]: r[1] for r in (line.split(",") for line in lines if line) if len(r) == 2}
+    header_idx = lines.index("[pruning.per_length]")
+    cols = lines[header_idx + 1].split(",")
+    table = [dict(zip(cols, line.split(","))) for line in lines[header_idx + 2:] if line]
+    assert [int(r["length"]) for r in table] == list(range(16, 25))
+    for key in ("profiles", "valid", "nonvalid", "recomputed"):
+        assert sum(int(r[key]) for r in table) == int(kv[f"pruning.totals.{key}"])

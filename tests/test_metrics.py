@@ -1,25 +1,8 @@
 import numpy as np
-import pytest
 
 import seriesmine as sm
-from seriesmine.exceptions import ZeroDistanceError
 from seriesmine.metrics import RunTrace, pruning_report
 from seriesmine.synthetic import random_walk, smooth_walk
-
-
-def test_tlb_endpoints():
-    assert sm.tlb(3.5, 3.5) == 1.0
-    assert sm.tlb(0.0, 2.0) == 0.0
-
-
-def test_tlb_zero_distance():
-    with pytest.raises(ZeroDistanceError):
-        sm.tlb(0.0, 0.0)
-
-
-def test_tlb_rejects_unsound_bound():
-    with pytest.raises(ValueError):
-        sm.tlb(2.0, 1.0)
 
 
 def test_mean_tlb_over_profile_in_unit_interval():
@@ -39,7 +22,8 @@ def test_mean_tlb_over_profile_in_unit_interval():
         za = (a - a.mean()) / a.std()
         zb = (b - b.mean()) / b.std()
         true = float(np.sqrt(((za - zb) ** 2).sum()))
-        ratios.append(sm.tlb(lb, true))
+        assert lb <= true + 1e-9                  # the bound is sound
+        ratios.append(lb / true)
     mean = float(np.mean(ratios))
     assert 0.0 < mean <= 1.0
 

@@ -3,9 +3,9 @@ import pytest
 
 import seriesmine as sm
 from seriesmine.exceptions import (EmptySeriesError, LengthExceedsSeriesError,
-                                   NonFiniteError, OutOfRangeError, ZeroVarianceError)
+                                   NonFiniteError, OutOfRangeError)
 from seriesmine.profile import PartialProfiles, compute_matrix_profile
-from seriesmine.series import pair_distance
+from seriesmine.series import _znorm, pair_distance
 from seriesmine.synthetic import random_walk
 
 
@@ -42,24 +42,26 @@ def test_ingest_million_points(tmp_path):
     s = sm.read_series(str(path))
     assert s.n == 1_000_000
     # line count of the written file is the independent check on n
-    assert sum(1 for _ in open(path)) == 1_000_000
+    with open(path) as fh:
+        assert sum(1 for _ in fh) == 1_000_000
 
 
 def test_window_stats_match_naive():
     rng = np.random.default_rng(1)
     t = sm.ingest(rng.standard_normal(300))
     for i, length in [(0, 10), (5, 32), (250, 50), (290, 10)]:
-        st = t.stats(i, length)
+        mu, sd = t.moving_stats(length)
         w = t.values[i:i + length]
-        assert st.mu == pytest.approx(w.mean(), rel=1e-12)
-        assert st.sigma == pytest.approx(w.std(), rel=1e-9)
+        assert mu[i] == pytest.approx(w.mean(), rel=1e-12)
+        assert sd[i] == pytest.approx(w.std(), rel=1e-9)
 
 
 def test_stats_sigma_clamped_nonnegative():
     t = sm.ingest(np.full(50, 3.7))
-    st = t.stats(10, 20)
-    assert 0.0 <= st.sigma < t.sigma_floor
-    assert st.is_constant
+    assert pair_distance(t, 10, 30, 20) == np.inf      # uncached stats
+    assert 20 not in t._moving
+    _, sd = t.moving_stats(20)
+    assert np.all((0.0 <= sd) & (sd < t.sigma_floor))
 
 
 def test_sliding_dot_product_hand_sum():
@@ -73,8 +75,8 @@ def test_sliding_dot_product_self_equals_squared_sum():
     t = sm.ingest(rng.standard_normal(128))
     length = 16
     qt = sm.sliding_dot_product(t.window(0, length), t)
-    _, ss = t.window_sums(0, length)
-    assert qt[0] == pytest.approx(ss, rel=1e-12)
+    mu, sd = t.moving_stats(length)
+    assert qt[0] == pytest.approx(length * (sd[0] ** 2 + mu[0] ** 2), rel=1e-12)
 
 
 def test_sliding_dot_product_matches_naive():
@@ -115,6 +117,7 @@ def test_flat_windows_have_zero_std():
     # above the constancy floor; every window of equal values reads 0
     values = _shelf_walk()
     t = sm.ingest(values)
+    uncached = sm.ingest(values)
     for length in (8, 16, 60):
         mu, sd = t.moving_stats(length)
         s = t._cum[length:] - t._cum[:-length]
@@ -128,7 +131,8 @@ def test_flat_windows_have_zero_std():
         assert np.array_equal(sd[~flat], sd_ref[~flat])
         assert np.array_equal(mu, mu_ref)
         for i in np.flatnonzero(flat):
-            assert t.stats(int(i), length).sigma == 0.0
+            assert pair_distance(uncached, int(i), 0, length) == np.inf
+        assert not uncached._moving
     _, sd8 = t.moving_stats(8)
     sd8_ref = np.sqrt(np.maximum((t._cum2[8:] - t._cum2[:-8]) / 8
                                  - ((t._cum[8:] - t._cum[:-8]) / 8) ** 2, 0.0))
@@ -216,46 +220,40 @@ def _naive_znorm(a, b):
     return float(np.sqrt(((za - zb) ** 2).sum()))
 
 
-def test_znorm_distance_identical_is_zero():
+def test_pair_distance_identical_is_zero():
     rng = np.random.default_rng(7)
     t = sm.ingest(np.tile(rng.standard_normal(16), 4))
-    qt = float(np.dot(t.window(0, 16), t.window(16, 16)))
-    d = sm.znorm_distance(qt, t.stats(0, 16), t.stats(16, 16))
-    assert d == pytest.approx(0.0, abs=1e-6)
+    assert pair_distance(t, 0, 16, 16) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_znorm_distance_anticorrelated():
+def test_pair_distance_anticorrelated():
     # exact anti-correlation at length 4: distance = sqrt(2*4*2) = 4
     w = np.array([1.0, 2.0, 3.0, 4.0])
     t = sm.ingest(np.concatenate([w, -w]))
-    qt = float(np.dot(t.window(0, 4), t.window(4, 4)))
-    d = sm.znorm_distance(qt, t.stats(0, 4), t.stats(4, 4))
-    assert d == pytest.approx(4.0, rel=1e-12)
+    assert pair_distance(t, 0, 4, 4) == pytest.approx(4.0, rel=1e-12)
 
 
-def test_znorm_distance_matches_explicit():
+def test_pair_distance_matches_explicit():
     rng = np.random.default_rng(8)
     t = sm.ingest(rng.standard_normal(200))
     length = 16
     for i, j in [(0, 50), (3, 120), (90, 140)]:
-        qt = float(np.dot(t.window(i, length), t.window(j, length)))
-        d = sm.znorm_distance(qt, t.stats(i, length), t.stats(j, length))
-        assert d == pytest.approx(
+        assert pair_distance(t, i, j, length) == pytest.approx(
             _naive_znorm(t.window(i, length), t.window(j, length)), rel=1e-9)
 
 
-def test_znorm_distance_zero_variance():
+def test_pair_distance_zero_variance_is_inf():
     t = sm.ingest(np.concatenate([np.full(8, 1.0), np.arange(8.0)]))
-    with pytest.raises(ZeroVarianceError):
-        sm.znorm_distance(0.0, t.stats(0, 8), t.stats(8, 8))
+    assert pair_distance(t, 0, 8, 8) == np.inf
+    assert pair_distance(t, 8, 0, 8) == np.inf
 
 
 def test_znorm_symmetry():
     rng = np.random.default_rng(9)
     t = sm.ingest(rng.standard_normal(100))
-    qt = float(np.dot(t.window(2, 12), t.window(60, 12)))
-    a, b = t.stats(2, 12), t.stats(60, 12)
-    assert sm.znorm_distance(qt, a, b) == sm.znorm_distance(qt, b, a)
+    for _ in range(2):      # uncached stats, then the cached arrays
+        assert pair_distance(t, 2, 60, 12) == pair_distance(t, 60, 2, 12)
+        t.moving_stats(12)
 
 
 def test_distance_scale_offset_invariance():
@@ -268,9 +266,7 @@ def test_distance_scale_offset_invariance():
         scaled = base.copy()
         scaled[i:i + length] = a * scaled[i:i + length] + b
         t = sm.ingest(scaled)
-        qt = float(np.dot(t.window(i, length), t.window(j, length)))
-        d = sm.znorm_distance(qt, t.stats(i, length), t.stats(j, length))
-        assert d == pytest.approx(d_ref, abs=1e-7)
+        assert pair_distance(t, i, j, length) == pytest.approx(d_ref, abs=1e-7)
 
 
 def test_pair_distance_symmetric_bitwise():
@@ -280,28 +276,27 @@ def test_pair_distance_symmetric_bitwise():
         assert pair_distance(t, i, j, 24) == pair_distance(t, j, i, 24)
 
 
-def test_pair_distance_equals_znorm_distance_bitwise():
-    # both sources of window stats: stats() before this length's moving
-    # stats are cached, the cached arrays after
-    t = sm.ingest(_shelf_walk(seed=12))
+def test_pair_distance_cached_uncached_and_znorm_bitwise():
+    # uncached stats on one series, the cached moving_stats arrays on
+    # another, and the scalar kernel fed from those arrays
+    values = _shelf_walk(seed=12)
+    uncached, cached = sm.ingest(values), sm.ingest(values)
     rng = np.random.default_rng(12)
     for length in (8, 24):
-        pairs = [tuple(int(x) for x in rng.integers(0, t.n - length + 1, size=2))
+        pairs = [tuple(int(x) for x in rng.integers(0, cached.n - length + 1, size=2))
                  for _ in range(200)] + [(110, 200)]       # one inside the shelf
-        for fill in (False, True):
-            if fill:
-                t.moving_stats(length)
-            assert (length in t._moving) == fill
-            for i, j in pairs:
-                a, b = min(i, j), max(i, j)
-                sa, sb = t.stats(a, length), t.stats(b, length)
-                d = pair_distance(t, i, j, length)
-                if sa.is_constant or sb.is_constant:
-                    assert d == np.inf
-                    continue
-                qt = float(np.dot(t.window(a, length), t.window(b, length)))
-                assert d == sm.znorm_distance(qt, sa, sb)
-    assert t.stats(110, 8).is_constant
+        mu, sd = cached.moving_stats(length)
+        for i, j in pairs:
+            a, b = min(i, j), max(i, j)
+            d = pair_distance(uncached, i, j, length)
+            assert d == pair_distance(cached, i, j, length)
+            if sd[a] < cached.sigma_floor or sd[b] < cached.sigma_floor:
+                assert d == np.inf
+                continue
+            qt = float(np.dot(cached.window(a, length), cached.window(b, length)))
+            assert d == _znorm(qt, length, mu[a], sd[a], mu[b], sd[b])
+        assert not uncached._moving
+    assert cached.moving_stats(8)[1][110] == 0.0
 
 
 def test_pair_distance_out_of_range():

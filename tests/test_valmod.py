@@ -207,6 +207,32 @@ def test_cost_reseed_bounds_repair_rows(monkeypatch):
     assert np.allclose(v.distances, om.valmp_dist, atol=1e-7)
 
 
+def test_partial_recompute_branch_equals_oracle(monkeypatch):
+    # lengths 41, 52 and 53 of this input recompute a few non-valid rows one
+    # by one instead of re-seeding
+    module = importlib.import_module("seriesmine.valmod")
+    recomputed = {}
+    original = module.compute_sub_mp
+
+    def recorded(series, n_dp, list_dp, new_length, p):
+        sub = original(series, n_dp, list_dp, new_length, p)
+        recomputed[new_length] = sub.n_recomputed
+        return sub
+
+    monkeypatch.setattr(module, "compute_sub_mp", recorded)
+    t = sm.ingest(random_walk(800, seed=1))
+    trace = RunTrace()
+    v = sm.valmod(t, 32, 64, 50, trace=trace)
+    assert any(recomputed[r.length] > 0 for r in trace.records[1:] if r.reseed is None)
+    om = sm.brute_force_motifs(t, 32, 64)
+    assert np.array_equal(v.lengths, om.valmp_length)
+    assert np.array_equal(v.indices, om.valmp_index)
+    assert np.allclose(v.distances, om.valmp_dist, atol=1e-7)
+    for rec, pair, d_o in zip(trace.records, om.motif_pairs, om.motif_distances):
+        assert rec.motif[:2] == pair
+        assert rec.motif[2] == pytest.approx(d_o, abs=1e-7)
+
+
 def test_capacity_never_changes_output():
     t = sm.ingest(random_walk(600, seed=7))
     results = [sm.valmod(t, 12, 36, p) for p in (2, 5, 10)]
