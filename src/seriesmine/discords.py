@@ -19,8 +19,8 @@ ascending offset, which only does what depends on the replay order. A
 certified owner commits the canonical distances of its stored neighbors;
 any other owner skips recomputation only when its (upper-bound) stored
 distances provably cannot enter the matrix, so the pruning leaves the
-replay's result unchanged. The seed length feeds the same replay from the
-full scan's m best matches.
+replay's result unchanged. The shortest length is an ordinary step whose
+stored entries come from the full scan at that length, with no advance.
 
 Across lengths, matrices merge cell by cell, keeping the largest
 length-normalized distance ``d / sqrt(length)`` (ties to the later, longer
@@ -35,8 +35,7 @@ import numpy as np
 
 from . import policy
 from .exceptions import InvalidParametersError
-from .profile import (PartialProfiles, compute_matrix_profile, row_best_matches,
-                      row_profile)
+from .profile import PartialProfiles, compute_matrix_profile, row_best_matches, row_profile
 from .series import DataSeries, pair_distance
 from .valmod import validate_range
 
@@ -189,8 +188,7 @@ def _replay(series: DataSeries, dkm: DiscordMatrix, list_dp: PartialProfiles,
         dist_row, f_row, qt_row = row_profile(series, i, length, want_f=True)
         n_recomputed += 1
         list_dp.harvest_row(i, f_row, qt_row, dist_row, sd[i])
-        best, best_nbrs = np.full(m, np.inf), np.full(m, -1, dtype=np.int64)
-        row_best_matches(dist_row, best, best_nbrs)
+        best, best_nbrs = row_best_matches(dist_row, m)
         if np.isfinite(best[m - 1]):
             update_fixed_length_discords(
                 dkm, _canonical_values(series, i, best_nbrs, length, m), i, k, m)
@@ -202,13 +200,15 @@ def topkm_next_length(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
                       counts: dict | None = None) -> DiscordMatrix:
     """One length step of the discord scan, reusing stored entries.
 
-    Vectorized over all rows: advance the stored entries, take each row's m
+    Vectorized over all rows: advance the stored entries (unless they were
+    harvested at ``new_length``, as at the shortest length), take each row's m
     best stored matches, and certify the owners whose m-th stored distance
     is exact (below the row threshold). Then :func:`_replay` offers the live
     owners to the matrix in ascending offset, recomputing a non-certified
     owner only when it could still enter the matrix.
     """
-    list_dp.advance(new_length)
+    if list_dp.length < new_length:
+        list_dp.advance(new_length)
     thr = list_dp.thresholds()[:n_dp]
     _, sd = series.moving_stats(new_length)
     stored, stored_nbrs = list_dp.sorted_row_matches(m, n_dp)
@@ -244,22 +244,10 @@ def topkm_discord_discovery(series: DataSeries, lmin: int, lmax: int,
         raise InvalidParametersError(f"p ({p}) must be at least m ({m})")
     validate_range(series, lmin, lmax)
 
-    res = compute_matrix_profile(series, lmin, p, m_track=m)
-    list_dp = res.partials
-    n_dp = series.n - lmin + 1
-    _, sd = series.moving_stats(lmin)
-    live = (sd >= series.sigma_floor) & np.isfinite(res.best_m[:, m - 1])
-    dkm = DiscordMatrix.empty(k, m, lmin)
-    _replay(series, dkm, list_dp, np.flatnonzero(live).tolist(), live.tolist(),
-            res.best_m, res.best_m_nbr, k, m)
+    list_dp = compute_matrix_profile(series, lmin, p).partials
     merged = VariableLengthDiscordMatrix.empty(k, m)
-    update_variable_length_discords(dkm, merged, k, m)
-    per_length = {lmin: dkm}
-    if trace is not None:
-        trace.add_length(lmin, n_profiles=n_dp, n_valid=n_dp, n_nonvalid=0,
-                         n_recomputed=0, full_recompute=False)
-
-    for length in range(lmin + 1, lmax + 1):
+    per_length = {}
+    for length in range(lmin, lmax + 1):
         n_dp = series.n - length + 1
         counts: dict = {}
         dkm = topkm_next_length(series, n_dp, list_dp, length, k, m, counts)

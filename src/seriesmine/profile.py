@@ -130,12 +130,14 @@ class PartialProfiles:
         """Certification threshold per row at the current length.
 
         Scaled harvest maximum: below it, no pair outside the stored entries
-        can land. +inf marks dead rows (callers skip them).
+        can land. 0 for a non-constant row with no stored data (it certifies
+        nothing); +inf for dead rows (callers skip them).
         """
         _, sd = self.series.moving_stats(self.length)
         n_dp = sd.shape[0]
         out = np.full(self.n_rows, np.inf)
         rows = min(self.n_rows, n_dp)
+        out[:rows][sd[:rows] >= self.series.sigma_floor] = 0.0
         live = self.owner_ok[:rows]
         with np.errstate(invalid="ignore"):
             out[:rows][live] = (self.m_f[:rows][live] * self.sigma_base[:rows][live]
@@ -163,13 +165,11 @@ class PartialProfiles:
 class ProfileResult:
     profile: MatrixProfile
     partials: PartialProfiles
-    best_m: np.ndarray | None = None       # m smallest true distances per row
-    best_m_nbr: np.ndarray | None = None   # the neighbors those distances belong to
 
 
 def _harvest_select(f_row: np.ndarray, p: int):
-    """Indices of the p smallest bound factors; boundary ties go to smaller offsets."""
-    n = f_row.shape[0]
+    """Ascending indices of the p smallest finite values (bound factors or
+    distances); boundary ties go to smaller offsets."""
     finite = np.isfinite(f_row)
     n_finite = int(finite.sum())
     if n_finite == 0:
@@ -232,24 +232,21 @@ def row_profile(series: DataSeries, i: int, length: int, want_f: bool = False):
     return dist, f_row, qt_row
 
 
-def row_best_matches(dist: np.ndarray, dists_out: np.ndarray, nbrs_out: np.ndarray):
-    """Write the row's m best finite matches into the length-m outputs.
+def row_best_matches(dist: np.ndarray, m: int):
+    """The row's m best finite matches: (distances, offsets), each of length m.
 
-    Distances ascending, smaller offset first on ties; slots beyond the
-    row's finite cells keep their previous contents.
+    Distances ascending, smaller offset first on ties; padded with +inf and
+    -1 where the row has fewer than m finite cells.
     """
-    m = dists_out.shape[0]
-    finite = np.flatnonzero(np.isfinite(dist))
-    take = min(m, finite.shape[0])
-    if take:
-        cand = finite[np.argpartition(dist[finite], take - 1)[:take]]
-        order = cand[np.lexsort((cand, dist[cand]))]
-        dists_out[:take] = dist[order]
-        nbrs_out[:take] = order
+    sel = _harvest_select(dist, m)
+    order = sel[np.lexsort((sel, dist[sel]))]
+    dists, nbrs = np.full(m, np.inf), np.full(m, -1, dtype=np.int64)
+    dists[:order.shape[0]] = dist[order]
+    nbrs[:order.shape[0]] = order
+    return dists, nbrs
 
 
-def _scan_chunk(series, length, m_track, start, stop,
-                mu, sd, valid_nbr, mp, ip, partials, best_m, best_m_nbr):
+def _scan_chunk(series, length, start, stop, mu, sd, valid_nbr, mp, ip, partials):
     """STOMP recursion over rows [start, stop), seeded by one FFT pass."""
     floor = series.sigma_floor
     qt = sliding_dot_product(series.window(start, length), series)
@@ -269,13 +266,13 @@ def _scan_chunk(series, length, m_track, start, stop,
             mp[i] = np.inf
             ip[i] = -1
         partials.harvest_row(i, f_row, qt, dist, sd[i])
-        if m_track:
-            row_best_matches(dist, best_m[i], best_m_nbr[i])
 
 
-def compute_matrix_profile(series: DataSeries, length: int, p: int,
-                           m_track: int = 0) -> ProfileResult:
+def compute_matrix_profile(series: DataSeries, length: int, p: int) -> ProfileResult:
     """Exact matrix profile at one length plus per-row partial profiles.
+
+    The drivers run it at the shortest length and at every re-seed; its
+    partial profiles certify rows at this length as at the longer ones.
 
     Parameters
     ----------
@@ -286,9 +283,6 @@ def compute_matrix_profile(series: DataSeries, length: int, p: int,
         ``valmod.validate_range`` applies to a whole range).
     p : int
         Stored neighbors per row (the reuse budget for longer lengths).
-    m_track : int
-        When positive, additionally record each row's m smallest true
-        distances (ascending) — the raw material for anomaly ranking.
     """
     n = series.n
     if length < 4 or length + policy.exclusion_zone(length) > n:
@@ -305,9 +299,7 @@ def compute_matrix_profile(series: DataSeries, length: int, p: int,
     mp = np.full(n_dp, np.inf)
     ip = np.full(n_dp, -1, dtype=np.int64)
     partials = PartialProfiles(series, n_dp, p, length)
-    best_m = np.full((n_dp, m_track), np.inf) if m_track else None
-    best_m_nbr = np.full((n_dp, m_track), -1, dtype=np.int64) if m_track else None
     for s in range(0, n_dp, CHUNK_ROWS):
-        _scan_chunk(series, length, m_track, s, min(s + CHUNK_ROWS, n_dp),
-                    mu, sd, valid_nbr, mp, ip, partials, best_m, best_m_nbr)
-    return ProfileResult(MatrixProfile(mp, ip, length), partials, best_m, best_m_nbr)
+        _scan_chunk(series, length, s, min(s + CHUNK_ROWS, n_dp),
+                    mu, sd, valid_nbr, mp, ip, partials)
+    return ProfileResult(MatrixProfile(mp, ip, length), partials)

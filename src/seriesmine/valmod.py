@@ -1,8 +1,9 @@
 """Variable-length motif-pair driver.
 
-One full matrix-profile scan at the shortest length seeds per-row partial
-profiles; every longer length is then attempted in O(n·p) by advancing the
-stored entries and certifying each row against its scaled harvest threshold:
+One loop walks the lengths from the shortest. The first length, like every
+re-seed, runs a full matrix-profile scan that seeds per-row partial profiles;
+any other length is attempted in O(n·p) by advancing the stored entries and
+certifying each row against its scaled harvest threshold:
 
 * a row whose smallest updated true distance sits below its threshold is
   *valid* — that minimum is provably the row's true profile value;
@@ -134,9 +135,7 @@ def compute_sub_mp(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
 
     best, best_nbr = list_dp.sorted_row_matches(1, n_dp)
     dmin, nbr = best[:, 0], best_nbr[:, 0]
-    thr = list_dp.thresholds()[:n_dp].copy()
-    # rows with no usable stored data (e.g. resurrected offsets) certify nothing
-    thr[eligible & ~list_dp.owner_ok[:n_dp]] = 0.0
+    thr = list_dp.thresholds()[:n_dp]
 
     valid, min_dist_abs, min_lb_abs, b_best_m = certify_step(dmin, thr)
     values = np.where(valid, dmin, np.nan)
@@ -219,7 +218,8 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
         When given, every improvement is also offered to this bounded top-K
         pair ranking (the motif-set front end).
     trace : RunTrace, optional
-        Collects per-length pruning counts and motif summaries.
+        Collects per-length pruning counts and motif summaries; the first
+        length's record counts every scanned row as valid.
     """
     validate_range(series, lmin, lmax)
     if p < 1:
@@ -233,47 +233,41 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
             return update_valmp(valmp, mp_values, ip, n_dp, length)
         return _ms_update(valmp, mp_values, ip, n_dp, length, ranking)
 
-    res = compute_matrix_profile(series, lmin, p)
-    partials = res.partials
-    n0 = series.n - lmin + 1
-    valmp = VALMP(n0)
-    fold(valmp, res.profile.mp, res.profile.ip, n0, lmin)
-    if trace is not None:
-        motif = _written_motif(res.profile.mp, res.profile.ip)
-        trace.add_length(lmin, n_profiles=n0, n_valid=n0, n_nonvalid=0,
-                         n_recomputed=0, full_recompute=False, motif=motif)
-
+    valmp = VALMP(series.n - lmin + 1)
+    partials = None   # no stored entries before the first scan
     floors: dict[int, list] = {}
     owed = 0    # floors the repair pass may still rescan, since the last seed
-    for length in range(lmin + 1, lmax + 1):
+    for length in range(lmin, lmax + 1):
         n_dp = series.n - length + 1
-        sub = compute_sub_mp(series, n_dp, partials, length, p)
         reseed = None
-        if not sub.b_best_m:
-            reseed = "uncertified"
-        else:
-            owed += _owed_rows(valmp, sub.floors, length)
-            if owed > n_dp:
-                reseed = "cost"
-        if reseed is None:
-            fold(valmp, sub.values, sub.indices, n_dp, length)
-            for i, floor_value in sub.floors:
-                floors.setdefault(i, []).append((floor_value, length))
-            motif = _written_motif(sub.values, sub.indices)
-            n_recomputed = sub.n_recomputed
-        else:
+        scan = partials is None     # the first length
+        counts = dict(n_valid=n_dp, n_nonvalid=0, n_recomputed=0)
+        if not scan:
+            sub = compute_sub_mp(series, n_dp, partials, length, p)
+            counts = dict(n_valid=sub.n_valid, n_nonvalid=sub.n_nonvalid,
+                          n_recomputed=sub.n_recomputed)
+            if not sub.b_best_m:
+                reseed = "uncertified"
+            else:
+                owed += _owed_rows(valmp, sub.floors, length)
+                if owed > n_dp:
+                    reseed = "cost"
+            scan = reseed is not None
+        if scan:
             res = compute_matrix_profile(series, length, p)
             partials = res.partials
-            fold(valmp, res.profile.mp, res.profile.ip, n_dp, length)
-            motif = _written_motif(res.profile.mp, res.profile.ip)
+            values, indices = res.profile.mp, res.profile.ip
             owed = 0
             # rows already recomputed in this step, plus the rescan's share
-            n_recomputed = sub.n_recomputed + sub.n_nonvalid
+            counts["n_recomputed"] += counts["n_nonvalid"]
+        else:
+            values, indices = sub.values, sub.indices
+            for i, floor_value in sub.floors:
+                floors.setdefault(i, []).append((floor_value, length))
+        fold(valmp, values, indices, n_dp, length)
         if trace is not None:
-            trace.add_length(length, n_profiles=n_dp, n_valid=sub.n_valid,
-                             n_nonvalid=sub.n_nonvalid, n_recomputed=n_recomputed,
-                             full_recompute=reseed is not None, motif=motif,
-                             reseed=reseed)
+            trace.add_length(length, n_profiles=n_dp, full_recompute=reseed is not None,
+                             motif=_written_motif(values, indices), reseed=reseed, **counts)
 
     _repair(series, valmp, floors, ranking, trace)
     return valmp

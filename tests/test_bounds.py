@@ -207,6 +207,22 @@ def test_thresholds_bound_unstored_pairs_after_advance():
             assert np.all(row[np.isfinite(row)] >= thr[i] - 1e-9), (new_length, i)
 
 
+def test_thresholds_of_resurrected_and_constant_rows():
+    # a window that is flat at the scan length but not one step longer holds
+    # no stored entries, so it certifies nothing (0); a still-flat window is
+    # dead (+inf)
+    values = np.cumsum(np.random.default_rng(4).standard_normal(200))
+    values[50:62] = values[50]
+    values[120:140] = values[120]
+    t = sm.ingest(values)
+    partials = compute_matrix_profile(t, 12, 4).partials
+    partials.advance(13)
+    thr = partials.thresholds()
+    assert not partials.owner_ok[50] and thr[50] == 0.0
+    assert not partials.owner_ok[120] and thr[120] == np.inf
+    assert np.all(thr[t.n - 13 + 1:] == np.inf)
+
+
 def test_exhaustive_soundness_small_series():
     # every sampled owner against every neighbor, extensions 1, 5 and 16
     rng = np.random.default_rng(8)

@@ -238,6 +238,33 @@ def test_smooth_series_prunes_everything():
     assert recomputed < 0.05 * considered
 
 
+def test_first_length_recomputes_uncertified_owners(monkeypatch):
+    # with p = m, many owners at the shortest length hold stored entries that
+    # do not pin down their m-th match; the replay recomputes the ones that
+    # could enter the matrix, and RunTrace counts exactly those rows
+    import seriesmine.discords as discords
+
+    calls = []
+    row_profile = discords.row_profile
+
+    def counted_row_profile(*args, **kwargs):
+        calls.append(args[2])    # the row's length
+        return row_profile(*args, **kwargs)
+
+    monkeypatch.setattr(discords, "row_profile", counted_row_profile)
+    t = sm.ingest(random_walk(600, seed=10))
+    trace = RunTrace()
+    scan = sm.topkm_discord_discovery(t, 16, 24, 3, 3, 3, trace=trace)
+    first = trace.records[0]
+    assert first.length == 16 and first.n_nonvalid > 0 and first.n_recomputed > 0
+    assert calls.count(16) == first.n_recomputed
+    assert sum(r.n_recomputed for r in trace.records) == len(calls)
+    per_o, _ = sm.brute_force_discords(t, 16, 16, 3, 3)
+    e, o = scan.per_length[16], per_o[16]
+    assert np.array_equal(e.offset, o.offset)
+    assert np.allclose(e.dist, o.dist, atol=1e-7)
+
+
 def test_capacity_below_m_rejected():
     t = sm.ingest(random_walk(300, seed=23))
     with pytest.raises(InvalidParametersError) as exc:

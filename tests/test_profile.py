@@ -5,7 +5,8 @@ import seriesmine as sm
 from seriesmine.exceptions import (AllConstantError, InvalidParametersError,
                                    SeriesTooShortError)
 from seriesmine.oracle import naive_distance_matrix, naive_profile
-from seriesmine.profile import CHUNK_ROWS, compute_matrix_profile, row_profile
+from seriesmine.profile import (CHUNK_ROWS, compute_matrix_profile, row_best_matches,
+                                row_profile)
 from seriesmine.synthetic import planted_pair_series, random_walk
 
 
@@ -163,11 +164,28 @@ def test_chunk_seams_match_fresh_rows():
 def test_best_match_harvest_tracks_m_smallest():
     t = sm.ingest(random_walk(400, seed=8))
     length, m = 16, 3
-    res = compute_matrix_profile(t, length, 5, m_track=m)
     dists = naive_distance_matrix(t, length)
     for i in range(0, t.n - length + 1, 31):
+        best, nbrs = row_best_matches(row_profile(t, i, length)[0], m)
         finite = np.sort(dists[i][np.isfinite(dists[i])])[:m]
-        assert np.allclose(res.best_m[i], finite, atol=1e-7)
+        assert np.allclose(best, finite, atol=1e-7)
+        assert np.allclose(dists[i][nbrs], best, atol=1e-7)
+
+
+def test_row_best_matches_breaks_ties_towards_smaller_offsets():
+    # rows with ties at the m-th place and inf cells: the m best are the
+    # first m cells in (distance, offset) order
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        n, m = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        d = rng.integers(0, 6, n).astype(float)
+        d[rng.random(n) < 0.2] = np.inf
+        fin = np.flatnonzero(np.isfinite(d))
+        want = fin[np.lexsort((fin, d[fin]))][:m]
+        best, nbrs = row_best_matches(d, m)
+        take = want.shape[0]
+        assert np.array_equal(nbrs[:take], want) and np.all(nbrs[take:] == -1)
+        assert np.array_equal(best[:take], d[want]) and np.all(np.isinf(best[take:]))
 
 
 def test_planted_pair_certified_across_lengths():
