@@ -12,7 +12,7 @@ matches of different lengths can be ranked against each other.
 import numpy as np
 
 import seriesmine as sm
-from seriesmine.metrics import RunTrace, pruning_report
+from seriesmine.metrics import RunTrace
 from seriesmine.synthetic import planted_pair_series
 
 series = sm.ingest(planted_pair_series(2000, 96, offsets=(300, 1200), seed=3))
@@ -30,11 +30,11 @@ for rec in trace.records[::8]:
     a, b, d = rec.motif
     print(f"  length {rec.length:3d}: ({a}, {b})  distance {d:.4f}")
 
-report = pruning_report(trace)
-print(f"\nprofiles classified   : {report.considered}")
-print(f"certified directly    : {report.n_valid}")
-print(f"recomputed            : {report.n_recomputed} "
-      f"({100 * report.recomputed_fraction:.2f}% of all profiles)")
+totals = trace.totals()
+print(f"\nprofiles classified   : {totals['valid'] + totals['nonvalid']}")
+print(f"certified directly    : {totals['valid']}")
+print(f"recomputed            : {totals['recomputed']} "
+      f"({100 * totals['recomputed_fraction']:.2f}% of all profiles)")
 
 # How many offsets prefer each winning length after normalization
 lengths, counts = np.unique(valmp.lengths[valmp.populated], return_counts=True)

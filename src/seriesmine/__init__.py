@@ -28,7 +28,7 @@ from .discords import (DiscordMatrix, DiscordScan, VariableLengthDiscordMatrix,
                        update_fixed_length_discords,
                        update_variable_length_discords)
 from .oracle import brute_force_discords, brute_force_motifs
-from .metrics import PruningReport, RunTrace, pruning_report
+from .metrics import RunTrace
 from .io import read_series
 
 __version__ = "0.1.0"
@@ -45,6 +45,6 @@ __all__ = [
     "topkm_discord_discovery", "topkm_next_length",
     "update_fixed_length_discords", "update_variable_length_discords",
     "brute_force_discords", "brute_force_motifs",
-    "PruningReport", "RunTrace", "pruning_report",
+    "RunTrace",
     "read_series",
 ]

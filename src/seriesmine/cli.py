@@ -29,7 +29,7 @@ from . import io as _io
 from .discords import topkm_discord_discovery
 from .exceptions import SeriesMineError
 from .io import InputFormatError
-from .metrics import RunTrace, pruning_report
+from .metrics import RunTrace
 from .motifsets import (PairRanking, compute_var_length_motif_sets, validate_disjoint,
                         validate_radius_factor)
 from .oracle import brute_force_discords, brute_force_motifs
@@ -148,17 +148,14 @@ def _motif_payload(valmp, trace):
 
 
 def _pruning_payload(trace):
-    rep = pruning_report(trace)
     return {
         "per_length": [{"length": r.length, "profiles": r.n_profiles,
                         "valid": r.n_valid, "nonvalid": r.n_nonvalid,
                         "recomputed": r.n_recomputed,
                         "full_recompute": r.full_recompute,
                         "reseed": r.reseed}
-                       for r in rep.rows],
-        "totals": {"profiles": rep.n_profiles, "valid": rep.n_valid,
-                   "nonvalid": rep.n_nonvalid, "recomputed": rep.n_recomputed,
-                   "recomputed_fraction": rep.recomputed_fraction},
+                       for r in trace.records],
+        "totals": trace.totals(),
     }
 
 

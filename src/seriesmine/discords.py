@@ -11,16 +11,16 @@ skipping. That greedy order is part of the result's definition: an earlier,
 weaker discord can block a stronger overlapping one that starts later. The
 brute-force reference replays the identical order.
 
-A length step has two halves. The first is vectorized and runs once per
-length: advance the stored entries, take every row's m best stored matches
-in one sort, and certify rows whose m-th stored distance sits below the row
-threshold. The second is the sequential replay over the live owners in
-ascending offset, which only does what depends on the replay order. A
-certified owner commits the canonical distances of its stored neighbors;
-any other owner skips recomputation only when its (upper-bound) stored
-distances provably cannot enter the matrix, so the pruning leaves the
-replay's result unchanged. The shortest length is an ordinary step whose
-stored entries come from the full scan at that length, with no advance.
+A length step has two halves. The first, :meth:`PartialProfiles.step`, is
+the vectorized half the motif driver shares: advance the stored entries and
+give every row its m best stored matches and its threshold; a row whose m-th
+stored distance sits below it is certified. The second is the sequential
+replay over the live owners in ascending offset, which only does what
+depends on the replay order. A certified owner commits the canonical
+distances of its stored neighbors; any other owner skips recomputation only
+when its (upper-bound) stored distances provably cannot enter the matrix, so
+the pruning leaves the replay's result unchanged. The shortest length is an
+ordinary step: its stored entries come from the full scan at that length.
 
 Across lengths, matrices merge cell by cell, keeping the largest
 length-normalized distance ``d / sqrt(length)`` (ties to the later, longer
@@ -171,7 +171,6 @@ def _replay(series: DataSeries, dkm: DiscordMatrix, list_dp: PartialProfiles,
     (n_valid, n_nonvalid, n_recomputed).
     """
     length = dkm.length
-    _, sd = series.moving_stats(length)
     bottom = dkm.dist[k - 1]      # a view: inserts update it in place
     n_valid = n_nonvalid = n_recomputed = 0
     for i in owners:
@@ -187,7 +186,7 @@ def _replay(series: DataSeries, dkm: DiscordMatrix, list_dp: PartialProfiles,
             continue
         dist_row, f_row, qt_row = row_profile(series, i, length, want_f=True)
         n_recomputed += 1
-        list_dp.harvest_row(i, f_row, qt_row, dist_row, sd[i])
+        list_dp.harvest_row(i, f_row, qt_row, dist_row)
         best, best_nbrs = row_best_matches(dist_row, m)
         if np.isfinite(best[m - 1]):
             update_fixed_length_discords(
@@ -195,26 +194,19 @@ def _replay(series: DataSeries, dkm: DiscordMatrix, list_dp: PartialProfiles,
     return n_valid, n_nonvalid, n_recomputed
 
 
-def topkm_next_length(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
-                      new_length: int, k: int, m: int,
-                      counts: dict | None = None) -> DiscordMatrix:
+def topkm_next_length(series: DataSeries, list_dp: PartialProfiles, new_length: int,
+                      k: int, m: int, counts: dict | None = None) -> DiscordMatrix:
     """One length step of the discord scan, reusing stored entries.
 
-    Vectorized over all rows: advance the stored entries (unless they were
-    harvested at ``new_length``, as at the shortest length), take each row's m
-    best stored matches, and certify the owners whose m-th stored distance
-    is exact (below the row threshold). Then :func:`_replay` offers the live
-    owners to the matrix in ascending offset, recomputing a non-certified
-    owner only when it could still enter the matrix.
+    :meth:`PartialProfiles.step` gives each row's m best stored matches and
+    threshold; an owner whose m-th stored distance is below its threshold is
+    certified (exact). Then :func:`_replay` offers the live owners to the
+    matrix in ascending offset, recomputing a non-certified owner only when
+    it could still enter the matrix.
     """
-    if list_dp.length < new_length:
-        list_dp.advance(new_length)
-    thr = list_dp.thresholds()[:n_dp]
-    _, sd = series.moving_stats(new_length)
-    stored, stored_nbrs = list_dp.sorted_row_matches(m, n_dp)
-    mth = stored[:, m - 1]
-    certified = mth < thr
-    owners = np.flatnonzero(sd >= series.sigma_floor).tolist()
+    stored, stored_nbrs, thr = list_dp.step(new_length, m)
+    certified = stored[:, m - 1] < thr
+    owners = np.flatnonzero(np.isfinite(thr)).tolist()
     dkm = DiscordMatrix.empty(k, m, new_length)
     n_valid, n_nonvalid, n_recomputed = _replay(
         series, dkm, list_dp, owners, certified.tolist(), stored, stored_nbrs, k, m)
@@ -250,9 +242,9 @@ def topkm_discord_discovery(series: DataSeries, lmin: int, lmax: int,
     for length in range(lmin, lmax + 1):
         n_dp = series.n - length + 1
         counts: dict = {}
-        dkm = topkm_next_length(series, n_dp, list_dp, length, k, m, counts)
+        dkm = topkm_next_length(series, list_dp, length, k, m, counts)
         per_length[length] = dkm
         update_variable_length_discords(dkm, merged, k, m)
         if trace is not None:
-            trace.add_length(length, n_profiles=n_dp, full_recompute=False, **counts)
+            trace.add_length(length, n_profiles=n_dp, **counts)
     return DiscordScan(merged, per_length)

@@ -1,8 +1,8 @@
-"""Run diagnostics: bound tightness and pruning accounting."""
+"""Run diagnostics: per-length pruning counts and their totals."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 @dataclass
 class LengthTrace:
@@ -18,9 +18,12 @@ class LengthTrace:
     n_valid: int
     n_nonvalid: int
     n_recomputed: int
-    full_recompute: bool
     motif: tuple | None = None
     reseed: str | None = None
+
+    @property
+    def full_recompute(self) -> bool:
+        return self.reseed is not None
 
 
 class RunTrace:
@@ -31,49 +34,23 @@ class RunTrace:
         self._by_length: dict[int, LengthTrace] = {}
 
     def add_length(self, length, n_profiles, n_valid, n_nonvalid,
-                   n_recomputed, full_recompute, motif=None, reseed=None):
+                   n_recomputed, motif=None, reseed=None):
         rec = LengthTrace(length, n_profiles, n_valid, n_nonvalid,
-                          n_recomputed, full_recompute, motif, reseed)
+                          n_recomputed, motif, reseed)
         self.records.append(rec)
         self._by_length[length] = rec
 
     def bump_recomputed(self, length: int, n: int = 1):
         self._by_length[length].n_recomputed += n
 
-
-@dataclass
-class PruningReport:
-    """Aggregated pruning accounting over one run.
-
-    ``considered`` counts the profiles actually classified (valid +
-    non-valid); ``recomputed`` counts the non-valid ones whose exact values
-    came from rescanning the row, so recomputed <= non-valid on
-    every length that did not re-seed. A re-seeded length counts its
-    non-valid rows (the full rescan) plus any rows it had already
-    recomputed one by one.
-    """
-
-    rows: list[LengthTrace] = field(default_factory=list)
-    n_profiles: int = 0
-    n_valid: int = 0
-    n_nonvalid: int = 0
-    n_recomputed: int = 0
-
-    @property
-    def considered(self) -> int:
-        return self.n_valid + self.n_nonvalid
-
-    @property
-    def recomputed_fraction(self) -> float:
-        return self.n_recomputed / self.n_profiles if self.n_profiles else 0.0
-
-
-def pruning_report(trace: RunTrace) -> PruningReport:
-    """Fold a run trace into totals."""
-    report = PruningReport(rows=list(trace.records))
-    for rec in trace.records:
-        report.n_profiles += rec.n_profiles
-        report.n_valid += rec.n_valid
-        report.n_nonvalid += rec.n_nonvalid
-        report.n_recomputed += rec.n_recomputed
-    return report
+    def totals(self) -> dict:
+        """Sums over every length. ``recomputed`` counts the non-valid rows
+        whose exact values came from a rescan (a re-seeded length counts
+        its non-valid rows plus any it had already recomputed one by one);
+        ``recomputed_fraction`` divides it by ``profiles``."""
+        recs = self.records
+        profiles = sum(r.n_profiles for r in recs)
+        recomputed = sum(r.n_recomputed for r in recs)
+        return {"profiles": profiles, "valid": sum(r.n_valid for r in recs),
+                "nonvalid": sum(r.n_nonvalid for r in recs), "recomputed": recomputed,
+                "recomputed_fraction": recomputed / profiles if profiles else 0.0}

@@ -47,57 +47,57 @@ class MatrixProfile:
 class PartialProfiles:
     """All rows' stored neighbor entries, advanced in lockstep across lengths.
 
-    Column-oriented: entry arrays have shape (rows, p). A row dies when its
-    owner window leaves the series or turns constant; an entry dies when its
-    neighbor window does, or when the growing exclusion zone swallows it.
+    Column-oriented: entry arrays have shape (rows, p), p capped at the row
+    count; ``sd`` holds the window std at the current length. A row dies when
+    its owner window leaves the series or turns constant; an entry dies when
+    its neighbor window does, or when the growing exclusion zone swallows it.
     Capacity is never refilled outside an explicit row refresh.
     """
 
     def __init__(self, series: DataSeries, n_rows: int, p: int, length: int):
         self.series = series
         self.n_rows = n_rows
-        self.p = p
+        self.p = min(p, n_rows)    # no row has more neighbors than there are rows
         self.length = length
-        self.nbr = np.full((n_rows, p), -1, dtype=np.int64)
-        self.qt = np.zeros((n_rows, p))
-        self.dist = np.full((n_rows, p), np.inf)
-        self.alive = np.zeros((n_rows, p), dtype=bool)
+        self.sd = series.moving_stats(length)[1]
+        self.nbr = np.full((n_rows, self.p), -1, dtype=np.int64)
+        self.qt = np.zeros((n_rows, self.p))
+        self.dist = np.full((n_rows, self.p), np.inf)
+        self.alive = np.zeros((n_rows, self.p), dtype=bool)
         self.owner_ok = np.zeros(n_rows, dtype=bool)
         self.sigma_base = np.zeros(n_rows)
         self.m_f = np.full(n_rows, np.inf)
         self._owners = np.arange(n_rows, dtype=np.int64)[:, None]
 
-    def set_row(self, i: int, neighbors, qts, dists, m_f: float, sigma_base: float):
-        """Install a freshly harvested row (at the container's current length)."""
-        k = len(neighbors)
-        self.nbr[i, :k] = neighbors
-        self.nbr[i, k:] = -1
-        self.qt[i, :k] = qts
-        self.dist[i, :k] = dists
-        self.dist[i, k:] = np.inf
-        self.alive[i, :k] = True
-        self.alive[i, k:] = False
-        self.owner_ok[i] = True
-        self.sigma_base[i] = sigma_base
-        self.m_f[i] = m_f
-
-    def harvest_row(self, i: int, f_row: np.ndarray, qt_row: np.ndarray,
-                    dist: np.ndarray, sigma_base: float):
+    def harvest_row(self, i: int, f_row: np.ndarray, qt_row: np.ndarray, dist: np.ndarray):
         """Refresh row i from its full bound-factor, dot-product and distance
         rows at the current length: store the ``p`` entries with the smallest
         bound factors. A row with no finite factor keeps its old entries."""
         sel = _harvest_select(f_row, self.p)
-        if sel.shape[0]:
-            self.set_row(i, sel, qt_row[sel], dist[sel],
-                         m_f=float(f_row[sel].max()), sigma_base=float(sigma_base))
+        k = sel.shape[0]
+        if not k:
+            return
+        self.nbr[i, :k] = sel
+        self.nbr[i, k:] = -1
+        self.qt[i, :k] = qt_row[sel]
+        self.dist[i, :k] = dist[sel]
+        self.dist[i, k:] = np.inf
+        self.alive[i, :k] = True
+        self.alive[i, k:] = False
+        self.owner_ok[i] = True
+        self.sigma_base[i] = self.sd[i]
+        self.m_f[i] = f_row[sel].max()
 
     def advance(self, new_length: int):
-        """Grow every live entry by one length step in O(1) each.
+        """Grow every live entry by one length step in O(1) each; a no-op at
+        the current length.
 
         Extends dot products, refreshes true distances at ``new_length``, and
         drops entries/rows that stop existing, turn constant, or become
         trivial matches under the wider exclusion zone.
         """
+        if new_length == self.length:
+            return
         if new_length != self.length + 1:
             raise InvalidParametersError("profiles advance one length step at a time")
         t = self.series.values
@@ -125,6 +125,7 @@ class PartialProfiles:
         self.dist = np.where(valid, dist, np.inf)
         self.alive = valid
         self.length = length
+        self.sd = sd
 
     def thresholds(self) -> np.ndarray:
         """Certification threshold per row at the current length.
@@ -133,32 +134,45 @@ class PartialProfiles:
         can land. 0 for a non-constant row with no stored data (it certifies
         nothing); +inf for dead rows (callers skip them).
         """
-        _, sd = self.series.moving_stats(self.length)
+        sd = self.sd
         n_dp = sd.shape[0]
         out = np.full(self.n_rows, np.inf)
-        rows = min(self.n_rows, n_dp)
-        out[:rows][sd[:rows] >= self.series.sigma_floor] = 0.0
-        live = self.owner_ok[:rows]
+        out[:n_dp][sd >= self.series.sigma_floor] = 0.0
+        live = self.owner_ok[:n_dp]
         with np.errstate(invalid="ignore"):
-            out[:rows][live] = (self.m_f[:rows][live] * self.sigma_base[:rows][live]
-                                / sd[:rows][live])
+            out[:n_dp][live] = self.m_f[:n_dp][live] * self.sigma_base[:n_dp][live] / sd[live]
         return out
 
     def sorted_row_matches(self, m: int, n_rows: int):
-        """The m (<= p) best stored matches of each of the first ``n_rows`` rows.
+        """The m best stored matches of each of the first ``n_rows`` rows.
 
         Returns (distances, neighbor offsets), both (n_rows, m): distances
         ascending per row, the smaller neighbor first on ties, padded with
         +inf and -1 where a row holds fewer than m live entries.
         """
-        alive = self.alive[:n_rows]
-        dist = np.where(alive, self.dist[:n_rows], np.inf)
-        nbr = np.where(alive, self.nbr[:n_rows], _DEAD_NBR)
+        width = max(m, self.p)
+        dist = np.full((n_rows, width), np.inf)
+        nbr = np.full((n_rows, width), _DEAD_NBR)
+        np.copyto(dist[:, :self.p], self.dist[:n_rows], where=self.alive[:n_rows])
+        np.copyto(nbr[:, :self.p], self.nbr[:n_rows], where=self.alive[:n_rows])
         order = np.lexsort((nbr, dist))[:, :m]
         dists = np.take_along_axis(dist, order, axis=1)
         nbrs = np.take_along_axis(nbr, order, axis=1)
         nbrs[nbrs == _DEAD_NBR] = -1
         return dists, nbrs
+
+    def step(self, length: int, m: int):
+        """One length step's shared half: advance to ``length``, then read
+        what the stored entries certify over the rows that exist there.
+
+        Returns (distances, neighbors, thresholds): each row's m best stored
+        matches as :meth:`sorted_row_matches` gives them, and the row's
+        certification threshold, +inf for a dead (constant) row.
+        """
+        self.advance(length)
+        n_dp = self.sd.shape[0]
+        dists, nbrs = self.sorted_row_matches(m, n_dp)
+        return dists, nbrs, self.thresholds()[:n_dp]
 
 
 @dataclass
@@ -265,7 +279,7 @@ def _scan_chunk(series, length, start, stop, mu, sd, valid_nbr, mp, ip, partials
         else:
             mp[i] = np.inf
             ip[i] = -1
-        partials.harvest_row(i, f_row, qt, dist, sd[i])
+        partials.harvest_row(i, f_row, qt, dist)
 
 
 def compute_matrix_profile(series: DataSeries, length: int, p: int) -> ProfileResult:

@@ -115,39 +115,35 @@ class SubMPResult:
     n_recomputed: int = 0
 
 
-def compute_sub_mp(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
+def compute_sub_mp(series: DataSeries, list_dp: PartialProfiles,
                    new_length: int, p: int) -> SubMPResult:
-    """Advance the partial profiles one length and certify what they pin down.
+    """Certify one length from :meth:`PartialProfiles.step`, then resolve the rest.
 
-    When certification fails and the non-valid rows are few (fewer than
-    n·log(p)/log(n), the break-even against a full rescan), the rows whose
-    thresholds still undercut the best certified distance are recomputed from
-    scratch, their stored entries refreshed, and the result re-certified.
+    The step advances the stored entries and gives each row its best stored
+    match and threshold. When certification fails and the non-valid rows
+    are few (fewer than n·log(p)/log(n), the break-even against a full
+    rescan), the rows whose thresholds still undercut the best certified
+    distance are recomputed from scratch, their stored entries refreshed,
+    and the result re-certified.
 
     The remaining non-valid rows come back as ``floors``. The caller weighs
     them against a full rescan: it re-seeds when certification fails, and
     when the floors the repair pass still owes since the last seed exceed
-    ``n_dp``, the rows one full scan computes.
+    the rows one full scan computes.
     """
-    list_dp.advance(new_length)
-    _, sd = series.moving_stats(new_length)
-    eligible = sd[:n_dp] >= series.sigma_floor
-
-    best, best_nbr = list_dp.sorted_row_matches(1, n_dp)
-    dmin, nbr = best[:, 0], best_nbr[:, 0]
-    thr = list_dp.thresholds()[:n_dp]
-
-    valid, min_dist_abs, min_lb_abs, b_best_m = certify_step(dmin, thr)
-    values = np.where(valid, dmin, np.nan)
-    indices = np.where(valid, nbr, -1)
-    nonvalid_rows = np.flatnonzero(eligible & ~valid)
+    best, best_nbr, thr = list_dp.step(new_length, 1)
+    n_dp = thr.shape[0]
+    valid, min_dist_abs, min_lb_abs, b_best_m = certify_step(best[:, 0], thr)
+    values = np.where(valid, best[:, 0], np.nan)
+    indices = np.where(valid, best_nbr[:, 0], -1)
+    nonvalid_rows = np.flatnonzero(np.isfinite(thr) & ~valid)
     result = SubMPResult(b_best_m, values, indices,
                          n_valid=int(valid.sum()), n_nonvalid=len(nonvalid_rows))
 
     if not b_best_m and len(nonvalid_rows) < n_dp * math.log(p) / math.log(max(n_dp, 2)):
         for i in nonvalid_rows:
             if thr[i] < min_dist_abs:
-                _recompute_row(series, list_dp, int(i), new_length, sd, values, indices)
+                _recompute_row(series, list_dp, int(i), new_length, values, indices)
                 result.n_recomputed += 1
             else:
                 result.floors.append((int(i), float(thr[i])))
@@ -157,14 +153,14 @@ def compute_sub_mp(series: DataSeries, n_dp: int, list_dp: PartialProfiles,
     return result
 
 
-def _recompute_row(series, list_dp, i, length, sd, values, indices):
+def _recompute_row(series, list_dp, i, length, values, indices):
     """Exact row rescan: write its true minimum and refresh its stored entries."""
     dist, f_row, qt_row = row_profile(series, i, length, want_f=True)
     j = int(np.argmin(dist))
     if np.isfinite(dist[j]):
         values[i] = dist[j]
         indices[i] = j
-    list_dp.harvest_row(i, f_row, qt_row, dist, sd[i])
+    list_dp.harvest_row(i, f_row, qt_row, dist)
 
 
 def _written_motif(values: np.ndarray, indices: np.ndarray):
@@ -243,7 +239,7 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
         scan = partials is None     # the first length
         counts = dict(n_valid=n_dp, n_nonvalid=0, n_recomputed=0)
         if not scan:
-            sub = compute_sub_mp(series, n_dp, partials, length, p)
+            sub = compute_sub_mp(series, partials, length, p)
             counts = dict(n_valid=sub.n_valid, n_nonvalid=sub.n_nonvalid,
                           n_recomputed=sub.n_recomputed)
             if not sub.b_best_m:
@@ -266,8 +262,8 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
                 floors.setdefault(i, []).append((floor_value, length))
         fold(valmp, values, indices, n_dp, length)
         if trace is not None:
-            trace.add_length(length, n_profiles=n_dp, full_recompute=reseed is not None,
-                             motif=_written_motif(values, indices), reseed=reseed, **counts)
+            trace.add_length(length, n_profiles=n_dp, motif=_written_motif(values, indices),
+                             reseed=reseed, **counts)
 
     _repair(series, valmp, floors, ranking, trace)
     return valmp

@@ -216,11 +216,21 @@ def test_thresholds_of_resurrected_and_constant_rows():
     values[120:140] = values[120]
     t = sm.ingest(values)
     partials = compute_matrix_profile(t, 12, 4).partials
-    partials.advance(13)
-    thr = partials.thresholds()
-    assert not partials.owner_ok[50] and thr[50] == 0.0
-    assert not partials.owner_ok[120] and thr[120] == np.inf
-    assert np.all(thr[t.n - 13 + 1:] == np.inf)
+    stored = [a.copy() for a in (partials.nbr, partials.qt, partials.dist, partials.alive)]
+    partials.advance(partials.length)      # no-op at the current length
+    for before, after in zip(stored, (partials.nbr, partials.qt, partials.dist, partials.alive)):
+        assert np.array_equal(before, after)
+    # step's thresholds mark exactly the constant rows dead, at the scan
+    # length (no advance) and after each advance
+    for length in range(12, 20):
+        _, _, thr = partials.step(length, 1)
+        sd = t.moving_stats(length)[1]
+        assert np.array_equal(np.isfinite(thr), sd >= t.sigma_floor), length
+        if length == 13:
+            thr = partials.thresholds()
+            assert not partials.owner_ok[50] and thr[50] == 0.0
+            assert not partials.owner_ok[120] and thr[120] == np.inf
+            assert np.all(thr[t.n - 13 + 1:] == np.inf)
 
 
 def test_exhaustive_soundness_small_series():

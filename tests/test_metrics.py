@@ -1,7 +1,7 @@
 import numpy as np
 
 import seriesmine as sm
-from seriesmine.metrics import RunTrace, pruning_report
+from seriesmine.metrics import RunTrace
 from seriesmine.synthetic import random_walk, smooth_walk
 
 
@@ -32,11 +32,11 @@ def test_pruning_accounting_identities():
     t = sm.ingest(random_walk(600, seed=1))
     trace = RunTrace()
     sm.valmod(t, 16, 40, 5, trace=trace)
-    rep = pruning_report(trace)
-    assert rep.n_valid + rep.n_nonvalid == rep.considered
-    assert rep.n_recomputed <= rep.n_nonvalid
-    assert rep.n_profiles == sum(r.n_profiles for r in rep.rows)
-    for row in rep.rows:
+    tot = trace.totals()
+    assert list(tot) == ["profiles", "valid", "nonvalid", "recomputed", "recomputed_fraction"]
+    assert tot["recomputed"] <= tot["nonvalid"]
+    assert tot["profiles"] == sum(r.n_profiles for r in trace.records)
+    for row in trace.records:
         assert row.n_recomputed <= max(row.n_nonvalid, 0) or row.full_recompute
 
 
@@ -44,8 +44,8 @@ def test_all_valid_run_reports_zero_recomputed():
     t = sm.ingest(smooth_walk(800, seed=2))
     trace = RunTrace()
     sm.valmod(t, 32, 40, 10, trace=trace)
-    rep = pruning_report(trace)
-    if rep.n_nonvalid == 0:
-        assert rep.n_recomputed == 0
-        assert rep.recomputed_fraction == 0.0
-    assert 0.0 <= rep.recomputed_fraction <= 1.0
+    tot = trace.totals()
+    if tot["nonvalid"] == 0:
+        assert tot["recomputed"] == 0
+        assert tot["recomputed_fraction"] == 0.0
+    assert 0.0 <= tot["recomputed_fraction"] <= 1.0

@@ -46,6 +46,27 @@ def test_degenerate_capacity_stores_whole_row():
         assert row_min == res.profile.mp[i]
 
 
+def test_capacity_above_the_row_count_changes_nothing():
+    # a row never has more neighbors than there are rows, so storage is at
+    # most that wide whatever p asks, and the output is the oracle's
+    t = sm.ingest(random_walk(24, seed=2))
+    p = 10 ** 5
+    for length in (4, 8, 16):
+        assert compute_matrix_profile(t, length, p).partials.nbr.shape[1] <= t.n - length + 1
+    v = sm.valmod(t, 4, 16, p)
+    om = sm.brute_force_motifs(t, 4, 16)
+    assert np.array_equal(v.indices, om.valmp_index)
+    assert np.array_equal(v.lengths, om.valmp_length)
+    m = t.n       # more matches than any length has rows
+    scan = sm.topkm_discord_discovery(t, 4, 16, 2, m, p)
+    per_o, merged_o = sm.brute_force_discords(t, 4, 16, 2, m)
+    for length in range(4, 17):
+        assert np.array_equal(scan.per_length[length].offset, per_o[length].offset)
+        assert np.array_equal(scan.per_length[length].dist, per_o[length].dist)
+    assert np.array_equal(scan.merged.offset, merged_o.offset)
+    assert np.array_equal(scan.merged.length, merged_o.length)
+
+
 def test_harvest_keeps_smallest_bounds():
     # every pair left out of a partial profile bounds above the stored max
     t = sm.ingest(random_walk(300, seed=2))

@@ -184,7 +184,11 @@ def test_extend_dot_product():
     # a stored dot product grows by the product of the two new last values
     t = sm.ingest([1.0, 2.0, 3.0, 1.0, 5.0, 2.0, 4.0, 0.0, 3.0, 7.0])
     partials = PartialProfiles(t, n_rows=7, p=1, length=4)
-    partials.set_row(0, [5], [13.0], [0.0], m_f=1.0, sigma_base=1.0)   # 1*2+2*4+3*0+1*3
+    f_row = np.full(7, np.inf)
+    f_row[5] = 1.0                      # the one finite bound factor: neighbor 5
+    qt_row = np.zeros(7)
+    qt_row[5] = 13.0                    # 1*2+2*4+3*0+1*3
+    partials.harvest_row(0, f_row, qt_row, np.zeros(7))
     partials.advance(5)
     assert partials.alive[0, 0]
     assert partials.qt[0, 0] == 13.0 + 5.0 * 7.0

@@ -78,7 +78,7 @@ def test_compute_sub_mp_all_valid_case():
     # planted strong pair on a smooth series: stored entries certify every row
     t = sm.ingest(planted_pair_series(500, 48, offsets=(60, 300), jitter=0.01, seed=3))
     res = compute_matrix_profile(t, 24, 8)
-    sub = compute_sub_mp(t, t.n - 25 + 1, res.partials, 25, 8)
+    sub = compute_sub_mp(t, res.partials, 25, 8)
     assert sub.b_best_m
     assert sub.n_recomputed == 0
     from seriesmine.oracle import naive_profile
@@ -93,7 +93,7 @@ def test_compute_sub_mp_recomputed_rows_match_oracle():
     res = compute_matrix_profile(t, 16, 2)
     partials = res.partials
     for length in range(17, 33):
-        sub = compute_sub_mp(t, t.n - length + 1, partials, length, 2)
+        sub = compute_sub_mp(t, partials, length, 2)
         mp_o, _ = naive_profile(t, length)
         written = ~np.isnan(sub.values)
         assert np.allclose(sub.values[written], mp_o[written], atol=1e-7), length
@@ -109,7 +109,7 @@ def test_valid_rows_always_match_oracle_rows():
     res = compute_matrix_profile(t, 12, 3)
     partials = res.partials
     for length in range(13, 41):
-        sub = compute_sub_mp(t, t.n - length + 1, partials, length, 3)
+        sub = compute_sub_mp(t, partials, length, 3)
         mp_o, _ = naive_profile(t, length)
         written = np.flatnonzero(~np.isnan(sub.values))
         for i in written:
@@ -127,7 +127,7 @@ def test_fallback_control_flow_with_unit_capacity():
     saw_fallback = False
     partials = res.partials
     for length in range(17, 40):
-        sub = compute_sub_mp(t, t.n - length + 1, partials, length, 1)
+        sub = compute_sub_mp(t, partials, length, 1)
         if not sub.b_best_m:
             saw_fallback = True
             assert sub.n_recomputed == 0
@@ -214,8 +214,8 @@ def test_partial_recompute_branch_equals_oracle(monkeypatch):
     recomputed = {}
     original = module.compute_sub_mp
 
-    def recorded(series, n_dp, list_dp, new_length, p):
-        sub = original(series, n_dp, list_dp, new_length, p)
+    def recorded(series, list_dp, new_length, p):
+        sub = original(series, list_dp, new_length, p)
         recomputed[new_length] = sub.n_recomputed
         return sub
 
