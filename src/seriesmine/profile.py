@@ -6,9 +6,15 @@ derived from the previous in O(n) by ``series.advance_dot_products``. The
 scan is single-threaded. The fixed chunk grid and its per-chunk FFT re-seed
 stay, because they define the output bits.
 
-While each distance row is in hand, the scan keeps, per row, the ``p``
-entries with the smallest extension lower bound. Those partial profiles are
-what the variable-length drivers reuse at longer window lengths instead of
+Rows are settled a block at a time in correlation space: one 2-D pass
+gives a block's correlations ``q_raw``, and only each row's p+1 highest
+become distances and bound factors (``_settle_block``). A row whose ties
+reach past them falls back to its full rows, on the dot products in hand.
+The block size changes no output bit.
+
+While each row is in hand, the scan keeps, per row, the ``p`` entries with
+the smallest extension lower bound. Those partial profiles are what the
+variable-length drivers reuse at longer window lengths instead of
 recomputing full rows.
 
 A row's stored bounds all share the row's anchor std, so the bound of every
@@ -32,6 +38,7 @@ from .exceptions import (
 from .series import DataSeries, advance_dot_products, sliding_dot_product
 
 CHUNK_ROWS = 2048
+_BLOCK_CELLS = 1 << 15   # dot products per block of scan rows
 _DEAD_NBR = np.iinfo(np.int64).max   # sorts a dead entry after every live one
 
 
@@ -74,19 +81,23 @@ class PartialProfiles:
         rows at the current length: store the ``p`` entries with the smallest
         bound factors. A row with no finite factor keeps its old entries."""
         sel = _harvest_select(f_row, self.p)
-        k = sel.shape[0]
-        if not k:
-            return
-        self.nbr[i, :k] = sel
-        self.nbr[i, k:] = -1
-        self.qt[i, :k] = qt_row[sel]
-        self.dist[i, :k] = dist[sel]
-        self.dist[i, k:] = np.inf
-        self.alive[i, :k] = True
-        self.alive[i, k:] = False
-        self.owner_ok[i] = True
-        self.sigma_base[i] = self.sd[i]
-        self.m_f[i] = f_row[sel].max()
+        if sel.shape[0]:
+            self._store(i, sel, qt_row[sel], dist[sel], f_row[sel].max())
+
+    def _store(self, rows, nbr, qt, dist, m_f):
+        """Make ``rows`` (an index or an index array) hold the given entries,
+        neighbours ascending, and harvest maximum ``m_f``."""
+        k = nbr.shape[-1]
+        self.nbr[rows, :k] = nbr
+        self.nbr[rows, k:] = -1
+        self.qt[rows, :k] = qt
+        self.dist[rows, :k] = dist
+        self.dist[rows, k:] = np.inf
+        self.alive[rows, :k] = True
+        self.alive[rows, k:] = False
+        self.owner_ok[rows] = True
+        self.sigma_base[rows] = self.sd[rows]
+        self.m_f[rows] = m_f
 
     def advance(self, new_length: int):
         """Grow every live entry by one length step in O(1) each; a no-op at
@@ -203,15 +214,35 @@ def _harvest_select(f_row: np.ndarray, p: int):
 def _z_dist(qt, length: int, mu_a, sd_a, mu_b, sd_b):
     """Correlation ``q_raw`` and z-normalized distance from dot products.
 
-    ``qt`` is an array; the stats broadcast against it. The radicand is
-    clamped at zero. Cells with a zero std come out meaningless, and callers
-    mask them.
+    ``qt`` is an array; the stats broadcast against it. Cells with a zero
+    std come out meaningless, and callers mask them.
     """
+    q_raw = _correlation(qt, length, mu_a, sd_a, mu_b, sd_b)
+    return q_raw, _q_dist(q_raw, length)
+
+
+def _correlation(qt, length: int, mu_a, sd_a, mu_b, sd_b, out=None):
+    """``q_raw = (qt - L*mu_a*mu_b) / (L*sd_a*sd_b)``, the stats broadcast
+    against ``qt``; written to ``out`` when given."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        q_raw = (qt - length * mu_a * mu_b) / (length * sd_a * sd_b)
-        rad = 2.0 * length * (1.0 - q_raw)
+        num = np.subtract(qt, length * mu_a * mu_b, out=out)
+        return np.divide(num, length * sd_a * sd_b, out=num)
+
+
+def _q_dist(q_raw, length: int):
+    """Distance from correlation, radicand clamped at zero; non-increasing in
+    ``q_raw``, also after rounding."""
+    rad = 2.0 * length * (1.0 - q_raw)
     np.maximum(rad, 0.0, out=rad)
-    return q_raw, np.sqrt(rad)
+    return np.sqrt(rad)
+
+
+def _q_bound(q_raw, length: int):
+    """Extension bound factor from correlation; non-increasing in ``q_raw``,
+    also after rounding, and ``sqrt(length)`` wherever ``q_raw <= 0``."""
+    qc = np.clip(q_raw, -1.0, 1.0)
+    np.maximum(qc, 0.0, out=qc)
+    return np.sqrt(length * (1.0 - qc * qc))
 
 
 def _row_arrays(series: DataSeries, qt_row: np.ndarray, i: int, length: int,
@@ -229,9 +260,7 @@ def _row_arrays(series: DataSeries, qt_row: np.ndarray, i: int, length: int,
     dist[lo:hi] = np.inf
     if not want_f:
         return dist, None
-    qc = np.clip(q_raw, -1.0, 1.0)
-    np.maximum(qc, 0.0, out=qc)
-    f_row = np.sqrt(length * (1.0 - qc * qc))
+    f_row = _q_bound(q_raw, length)
     f_row[~valid_nbr] = np.inf
     f_row[lo:hi] = np.inf
     return dist, f_row
@@ -261,25 +290,71 @@ def row_best_matches(dist: np.ndarray, m: int):
 
 
 def _scan_chunk(series, length, start, stop, mu, sd, valid_nbr, mp, ip, partials):
-    """STOMP recursion over rows [start, stop), seeded by one FFT pass."""
-    floor = series.sigma_floor
-    qt = sliding_dot_product(series.window(start, length), series)
-    for i in range(start, stop):
-        if i > start:
-            qt = advance_dot_products(qt, series, i, length)
-        if sd[i] < floor:
-            mp[i] = np.inf
-            ip[i] = -1
-            continue
-        dist, f_row = _row_arrays(series, qt, i, length, mu, sd, valid_nbr)
-        j = int(np.argmin(dist))
-        if np.isfinite(dist[j]):
-            mp[i] = dist[j]
-            ip[i] = j
-        else:
-            mp[i] = np.inf
-            ip[i] = -1
-        partials.harvest_row(i, f_row, qt, dist)
+    """STOMP recursion over rows [start, stop), seeded by one FFT pass, in
+    blocks of about ``_BLOCK_CELLS`` dot products. A live row its block does
+    not settle falls back to ``_row_arrays`` + ``harvest_row``. ``mp`` and
+    ``ip`` arrive at +inf and -1."""
+    n_dp = mu.shape[0]
+    block = min(max(1, _BLOCK_CELLS // n_dp), stop - start)
+    qt_buf, q_buf = np.empty((block, n_dp)), np.empty((block, n_dp))
+    prev = sliding_dot_product(series.window(start, length), series)
+    for b0 in range(start, stop, block):
+        rows = np.arange(b0, min(b0 + block, stop))
+        qt = qt_buf[:rows.shape[0]]
+        for r, i in enumerate(rows):
+            if i == start:
+                qt[r] = prev
+            else:
+                advance_dot_products(prev, series, i, length, out=qt[r])
+            prev = qt[r]
+        settled = _settle_block(rows, qt, q_buf[:rows.shape[0]], length, mu, sd,
+                                valid_nbr, mp, ip, partials)
+        for r in np.flatnonzero(valid_nbr[rows] & ~settled):
+            i = int(rows[r])
+            dist, f_row = _row_arrays(series, qt[r], i, length, mu, sd, valid_nbr)
+            j = int(np.argmin(dist))
+            if np.isfinite(dist[j]):
+                mp[i] = dist[j]
+                ip[i] = j
+            partials.harvest_row(i, f_row, qt[r], dist)
+
+
+def _settle_block(rows, qt, q, length, mu, sd, valid_nbr, mp, ip, partials):
+    """Settle the block's rows from their p+1 highest correlations; returns
+    the mask of settled rows.
+
+    ``q`` is scratch of ``qt``'s shape for the correlations, with invalid
+    columns and each row's exclusion zone at -inf. Distance and bound factor
+    are non-increasing in the correlation, so a live row's p+1 highest cells
+    c_1..c_{p+1} settle it when c_{p+1} is a candidate, its distance exceeds
+    c_1's and its bound factor exceeds c_p's: every cell at the best
+    distance, and exactly the p smallest bounds, then lie among them, and
+    the row's output bits equal those of its full rows. Ties inside the p+1
+    cells need no order: the neighbour is the smallest offset at the best
+    distance, and the stored entries are sorted by offset.
+    """
+    n_dp, p = mu.shape[0], partials.p
+    if p + 1 >= n_dp:
+        return np.zeros(rows.shape[0], dtype=bool)
+    excl = policy.exclusion_zone(length)
+    rix = np.arange(rows.shape[0])[:, None]
+    _correlation(qt, length, mu[rows, None], sd[rows, None], mu, sd, out=q)
+    q[:, ~valid_nbr] = -np.inf
+    q[rix, np.clip(rows[:, None] + np.arange(1 - excl, excl), 0, n_dp - 1)] = -np.inf
+    top = np.argpartition(q, n_dp - p - 1, axis=1)[:, n_dp - p - 1:]
+    q_top = q[rix, top]
+    order = np.argsort(-q_top, axis=1)
+    top, q_top = top[rix, order], q_top[rix, order]
+    d, f = _q_dist(q_top, length), _q_bound(q_top, length)
+    settled = (valid_nbr[rows] & (q_top[:, p] > -np.inf)
+               & (d[:, p] > d[:, 0]) & (f[:, p] > f[:, p - 1]))
+    s = np.flatnonzero(settled)
+    mp[rows[s]] = d[s, 0]
+    ip[rows[s]] = np.where(d[s] == d[s, :1], top[s], n_dp).min(axis=1)
+    nbr = np.sort(top[s, :p], axis=1)
+    cells = (s[:, None], nbr)
+    partials._store(rows[s], nbr, qt[cells], _q_dist(q[cells], length), f[s, p - 1])
+    return settled
 
 
 def compute_matrix_profile(series: DataSeries, length: int, p: int) -> ProfileResult:

@@ -138,18 +138,22 @@ def sliding_dot_product(query: np.ndarray, series: DataSeries) -> np.ndarray:
     return conv[length - 1:n]
 
 
-def advance_dot_products(qt: np.ndarray, series: DataSeries, i: int, length: int) -> np.ndarray:
+def advance_dot_products(qt: np.ndarray, series: DataSeries, i: int, length: int,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Shift a dot-product vector from query offset i-1 to query offset i in O(n).
 
     Entry j reuses the overlapping products:
     ``qt'[j] = qt[j-1] - t[j-1]*t[i-1] + t[j+L-1]*t[i+L-1]``;
-    entry 0 is computed directly. ``i == 0`` returns the input unchanged.
+    entry 0 is computed directly. The result goes to ``out`` when given (it
+    may be ``qt`` itself), else to a new array. ``i == 0`` returns the input
+    unchanged.
     """
     if i == 0:
         return qt
     t = series.values
     n_dp = series.n - length + 1
-    out = np.empty_like(qt)
+    if out is None:
+        out = np.empty_like(qt)
     out[1:] = (qt[:n_dp - 1]
                - t[:n_dp - 1] * t[i - 1]
                + t[length:length + n_dp - 1] * t[i + length - 1])

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seriesmine as sm
+from seriesmine import profile
 from seriesmine.exceptions import (AllConstantError, InvalidParametersError,
                                    SeriesTooShortError)
 from seriesmine.oracle import naive_distance_matrix, naive_profile
-from seriesmine.profile import (CHUNK_ROWS, compute_matrix_profile, row_best_matches,
-                                row_profile)
+from seriesmine.profile import (CHUNK_ROWS, PartialProfiles, compute_matrix_profile,
+                                row_best_matches, row_profile)
+from seriesmine.series import advance_dot_products, sliding_dot_product
 from seriesmine.synthetic import planted_pair_series, random_walk
 
 
@@ -239,3 +244,167 @@ def test_sorted_row_matches_equals_per_row_lexsort():
         assert np.array_equal(dists[i, :take], d[order]), i
         assert np.array_equal(nbrs[i, :take], nb[order]), i
         assert np.all(dists[i, take:] == np.inf) and np.all(nbrs[i, take:] == -1)
+
+
+def _row_by_row_scan(t, length, p):
+    """The scan as full rows: the dot-product recursion (FFT-seeded per
+    chunk), then ``_row_arrays`` + ``harvest_row`` on every live row."""
+    n_dp = t.n - length + 1
+    mu, sd = t.moving_stats(length)
+    valid = sd >= t.sigma_floor
+    mp, ip = np.full(n_dp, np.inf), np.full(n_dp, -1, dtype=np.int64)
+    partials = PartialProfiles(t, n_dp, p, length)
+    for i in range(n_dp):
+        if i % CHUNK_ROWS == 0:
+            qt = sliding_dot_product(t.window(i, length), t)
+        else:
+            qt = advance_dot_products(qt, t, i, length)
+        if not valid[i]:
+            continue
+        dist, f_row = profile._row_arrays(t, qt, i, length, mu, sd, valid)
+        j = int(np.argmin(dist))
+        if np.isfinite(dist[j]):
+            mp[i], ip[i] = dist[j], j
+        partials.harvest_row(i, f_row, qt, dist)
+    return mp, ip, partials
+
+
+_PARTIAL_ARRAYS = ("nbr", "qt", "dist", "alive", "owner_ok", "sigma_base", "m_f", "sd")
+
+
+def _assert_same_bits(res, mp, ip, partials):
+    assert np.array_equal(res.profile.mp, mp)
+    assert np.array_equal(res.profile.ip, ip)
+    for name in _PARTIAL_ARRAYS:
+        assert np.array_equal(getattr(res.partials, name), getattr(partials, name)), name
+
+
+def _exact_repeats(seed):
+    rng = np.random.default_rng(seed)
+    pat = np.cumsum(rng.standard_normal(40))
+    v = np.cumsum(rng.standard_normal(400))
+    for a in (40, 140, 240, 330):
+        v[a:a + 40] = pat
+    return v
+
+
+def _shelf_walk():
+    v = random_walk(300, seed=6)
+    v[100:140] = v[99]
+    return v
+
+
+def _spike_walk():
+    v = random_walk(500, seed=3)
+    v[250] += 30.0
+    return v
+
+
+@pytest.mark.parametrize("name, values, length, p, fallback", [
+    ("shelf", _shelf_walk(), 16, 4, None),
+    ("repeats", _exact_repeats(0), 12, 10, None),
+    ("spike", _spike_walk(), 16, 5, None),
+    ("periodic", np.sin(2 * np.pi * np.arange(900) / 50), 50, 10, "some"),
+    ("too short for a block", random_walk(12, seed=1), 4, 9, "all"),
+    ("p above the row count", random_walk(24, seed=2), 8, 100, "all"),
+    ("three chunks", random_walk(5000, seed=7), 64, 5, "none"),
+])
+def test_block_scan_bits_equal_row_by_row(monkeypatch, name, values, length, p, fallback):
+    # settling rows a block at a time from their p+1 best correlations gives
+    # the bits of full rows; rows the block cannot settle fall back to full rows
+    t = sm.ingest(values)
+    expected = _row_by_row_scan(t, length, p)
+    calls = []
+    row_arrays = profile._row_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return row_arrays(*args, **kwargs)
+
+    monkeypatch.setattr(profile, "_row_arrays", counted)
+    _assert_same_bits(compute_matrix_profile(t, length, p), *expected)
+    live = int((t.moving_stats(length)[1] >= t.sigma_floor).sum())
+    if fallback == "none":
+        assert not calls
+    elif fallback == "all":
+        assert len(calls) == live
+    elif fallback == "some":
+        assert 0 < len(calls) < live
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(40, 260), shelf=st.booleans(),
+       spike=st.booleans(), repeat=st.booleans(), length=st.integers(4, 24),
+       p=st.integers(1, 12))
+def test_block_size_changes_no_bit(seed, n, shelf, spike, repeat, length, p):
+    values = random_walk(n, seed=seed)
+    if shelf:
+        values[n // 4:n // 4 + 12] = values[n // 4]
+    if spike:
+        values[n // 2] += 8.0
+    if repeat:
+        values[n - 20:] = values[5:25]
+    length = min(length, 2 * n // 3)
+    t = sm.ingest(values)
+    expected = _row_by_row_scan(t, length, p)
+    for cells in (1, 1 << 40):       # one row per block; the whole chunk as one block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(profile, "_BLOCK_CELLS", cells)
+            _assert_same_bits(compute_matrix_profile(t, length, p), *expected)
+
+
+def test_scan_makes_one_fft_per_chunk_and_no_row_profile(monkeypatch):
+    # the benchmark's call counts read one FFT per chunk and no single-row
+    # rescans inside a full scan
+    t = sm.ingest(random_walk(5000, seed=7))
+    calls = {"sliding_dot_product": 0, "row_profile": 0}
+    for name in calls:
+        fn = getattr(profile, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(profile, name, counted)
+    compute_matrix_profile(t, 64, 10)
+    assert calls == {"sliding_dot_product": math.ceil((t.n - 64 + 1) / CHUNK_ROWS),
+                     "row_profile": 0}
+
+
+def test_block_settle_resolves_near_ties_like_full_rows():
+    # correlations in clusters of adjacent floats: distinct q_raw that round
+    # to one distance or bound factor, exact ties, q_raw >= 1 and <= 0; a row
+    # the block settles must carry its full rows' bits, and the rest fall back
+    rng = np.random.default_rng(0)
+    n_settled = n_fallback = 0
+    for _ in range(200):
+        length, p, n_dp = int(rng.choice([12, 16, 20])), int(rng.integers(1, 6)), 60
+        t = sm.ingest(random_walk(n_dp + length - 1, seed=1))
+        mu, sd = np.zeros(n_dp), np.ones(n_dp)     # so q_raw is qt / length
+        valid = rng.random(n_dp) > 0.05
+        rows = np.arange(10, 50)
+        q = rng.uniform(-1.0, 0.2, (rows.shape[0], n_dp))
+        for r in range(rows.shape[0]):
+            a = rng.choice([0.3, 0.7, 0.9999, 1.0, 1.5, -0.2])
+            cols = rng.choice(n_dp, p + 3, replace=False)
+            q[r, cols] = a + rng.integers(-4, 5, p + 3) * np.spacing(a)
+        qt = length * q
+        full, block = (PartialProfiles(t, n_dp, p, length) for _ in range(2))
+        full.sd = block.sd = sd
+        mp_full, ip_full = np.full(n_dp, np.inf), np.full(n_dp, -1, dtype=np.int64)
+        mp_block, ip_block = mp_full.copy(), ip_full.copy()
+        settled = profile._settle_block(rows, qt, np.empty_like(qt), length, mu, sd,
+                                        valid, mp_block, ip_block, block)
+        for r, i in enumerate(rows):
+            dist, f_row = profile._row_arrays(t, qt[r], i, length, mu, sd, valid)
+            j = int(np.argmin(dist))
+            mp_full[i], ip_full[i] = dist[j], j
+            full.harvest_row(i, f_row, qt[r], dist)
+        s = rows[settled]
+        assert np.array_equal(mp_block[s], mp_full[s])
+        assert np.array_equal(ip_block[s], ip_full[s])
+        for name in _PARTIAL_ARRAYS[:-1]:
+            assert np.array_equal(getattr(block, name)[s], getattr(full, name)[s]), name
+        n_settled += s.shape[0]
+        n_fallback += int((valid[rows] & ~settled).sum())
+    assert n_settled > 1000 and n_fallback > 1000

@@ -2,8 +2,11 @@ import importlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial.distance import cdist
 
 import seriesmine as sm
+from seriesmine import policy
 from seriesmine.exceptions import InvalidParametersError, SeriesTooShortError, UnpopulatedError
 from seriesmine.metrics import RunTrace
 from seriesmine.profile import compute_matrix_profile
@@ -153,6 +156,48 @@ def test_end_to_end_exactness(seed, kind):
         assert np.allclose(norm, om.valmp_norm, atol=1e-7)
         assert np.array_equal(v.indices, om.valmp_index)
         assert np.array_equal(v.lengths, om.valmp_length)
+
+
+def _naive_valmp_at(t, offsets, lmin, lmax):
+    """VALMP entries (distance, length, index) at ``offsets``, from explicitly
+    z-normalized windows: exclusion zone and constant rule from ``policy``,
+    and on a tie of normalized distances the earlier length stays."""
+    dist, lengths, index = np.full(len(offsets), np.inf), np.zeros(len(offsets), int), \
+        np.full(len(offsets), -1)
+    norm = np.full(len(offsets), np.inf)
+    for length in range(lmin, lmax + 1):
+        w = sliding_window_view(t.values, length)
+        sd = w.std(axis=1)
+        valid = sd >= t.sigma_floor
+        z = (w - w.mean(axis=1, keepdims=True)) / np.where(valid, sd, 1.0)[:, None]
+        n_dp, excl = w.shape[0], policy.exclusion_zone(length)
+        for k, i in enumerate(offsets):
+            if i >= n_dp or not valid[i]:
+                continue
+            row = cdist(z[i:i + 1], z)[0]
+            row[~valid | (np.abs(np.arange(n_dp) - i) < excl)] = np.inf
+            j = int(np.argmin(row))
+            lnorm = row[j] * np.sqrt(1.0 / length)
+            if np.isfinite(lnorm) and lnorm < norm[k]:
+                norm[k], dist[k], lengths[k], index[k] = lnorm, row[j], length, j
+    return dist, lengths, index
+
+
+@pytest.mark.parametrize("workload", ["W1 planted", "W2 walk"])
+def test_size_tier_valmp_equals_naive_rows(workload):
+    # the ROADMAP baseline sizes (n=5000, L 64-128, p=10), where a scan block
+    # holds 6 rows; a full oracle is too slow here, so 32 fixed offsets are
+    # checked against naive rows
+    n = 5000
+    values = (planted_motif_benchmark(n, 128, seed=1) if workload.startswith("W1")
+              else random_walk(n, seed=1))
+    t = sm.ingest(values)
+    v = sm.valmod(t, 64, 128, 10)
+    offsets = np.concatenate([np.linspace(0, n - 64, 30).astype(int), [n // 4, 3 * n // 4]])
+    dist, lengths, index = _naive_valmp_at(t, offsets, 64, 128)
+    assert np.array_equal(v.lengths[offsets], lengths)
+    assert np.array_equal(v.indices[offsets], index)
+    assert np.allclose(v.distances[offsets], dist, rtol=0, atol=1e-7)
 
 
 def test_lengths_beyond_half_the_series_equal_oracle():
