@@ -98,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--k", type=int, default=_env_default("k", DEFAULTS["k"]))
     disc.add_argument("--m", type=int, default=_env_default("m", DEFAULTS["m"]))
     disc.add_argument("--per-length", action="store_true",
+                      default=_env_default("per_length") not in (None, "", "0"),
                       help="include every per-length matrix in the output")
 
     mp = subs.add_parser("mp", help="matrix profile at one fixed length")
@@ -159,32 +160,19 @@ def _pruning_payload(trace):
     }
 
 
-def _matrix_payload(dkm):
+def _cells(dkm, key="distance", lengths=None):
+    """Discord matrix cells in rank-major order; empty cells serialize as null."""
     k, m = dkm.dist.shape
     cells = []
     for i in range(k):
         for j in range(m):
             off = int(dkm.offset[i, j])
-            cells.append({
-                "rank": i + 1, "match": j + 1,
-                "distance": float(dkm.dist[i, j]) if off >= 0 else None,
-                "offset": off if off >= 0 else None,
-            })
-    return cells
-
-
-def _merged_payload(merged):
-    k, m = merged.dist.shape
-    cells = []
-    for i in range(k):
-        for j in range(m):
-            off = int(merged.offset[i, j])
-            cells.append({
-                "rank": i + 1, "match": j + 1,
-                "norm_distance": float(merged.dist[i, j]) if off >= 0 else None,
-                "offset": off if off >= 0 else None,
-                "length": int(merged.length[i, j]) if off >= 0 else None,
-            })
+            cell = {"rank": i + 1, "match": j + 1,
+                    key: float(dkm.dist[i, j]) if off >= 0 else None,
+                    "offset": off if off >= 0 else None}
+            if lengths is not None:
+                cell["length"] = int(lengths[i, j]) if off >= 0 else None
+            cells.append(cell)
     return cells
 
 
@@ -230,10 +218,10 @@ def _run_discords(args, series):
     scan = topkm_discord_discovery(series, args.lmin, args.lmax,
                                    args.k, args.m, args.p, trace=trace)
     wall = time.perf_counter() - t0
-    payload = {"merged": _merged_payload(scan.merged)}
+    payload = {"merged": _cells(scan.merged, "norm_distance", scan.merged.length)}
     if getattr(args, "per_length", False):
         payload["per_length"] = [
-            {"length": length, "cells": _matrix_payload(dkm)}
+            {"length": length, "cells": _cells(dkm)}
             for length, dkm in sorted(scan.per_length.items())]
     if args.trace:
         payload["pruning"] = _pruning_payload(trace)
@@ -273,8 +261,8 @@ def _run_oracle_discords(args, series):
                                               args.k, args.m)
     wall = time.perf_counter() - t0
     payload = {
-        "merged": _merged_payload(merged),
-        "per_length": [{"length": length, "cells": _matrix_payload(dkm)}
+        "merged": _cells(merged, "norm_distance", merged.length),
+        "per_length": [{"length": length, "cells": _cells(dkm)}
                        for length, dkm in sorted(per_length.items())],
     }
     return _io.make_document("oracle-discords", _params(args), series.n, payload, wall)

@@ -1,9 +1,9 @@
 """Brute-force reference implementations.
 
 Everything here recomputes distances the slow, obvious way: materialize the
-windows, z-normalize each one explicitly, and take Euclidean distances with
-:func:`scipy.spatial.distance.cdist`. No running sums, no FFT, no dot-product
-reuse — deliberately a separate code path from the engine, so an agreement
+windows, z-normalize each one explicitly, and take the Euclidean norm of
+their explicit differences in numpy. No running sums, no FFT, no dot-product
+identity — deliberately a separate code path from the engine, so an agreement
 between the two is meaningful. Matching policy (exclusion zone, constant
 windows, tie-breaks) is shared via :mod:`seriesmine.policy`, discord
 insertion replays the exact routine from :mod:`seriesmine.discords`, and the
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial.distance import cdist
 
 from . import policy
 from .series import DataSeries
@@ -31,18 +30,18 @@ def naive_distance_matrix(series: DataSeries, length: int) -> np.ndarray:
     zone, including the diagonal) and for any pair touching a constant
     window.
     """
-    t = series.values
-    windows = sliding_window_view(t, length).astype(np.float64)
-    mu = windows.mean(axis=1, keepdims=True)
+    windows = sliding_window_view(series.values, length)
     sd = windows.std(axis=1)
     valid = sd >= series.sigma_floor
-    safe_sd = np.where(valid, sd, 1.0)
-    znormed = (windows - mu) / safe_sd[:, None]
-    dists = cdist(znormed, znormed, metric="euclidean")
-    n_dp = dists.shape[0]
+    z = (windows - windows.mean(axis=1, keepdims=True)) / np.where(valid, sd, 1.0)[:, None]
+    n_dp = z.shape[0]
+    dists = np.full((n_dp, n_dp), np.inf)
     offs = np.arange(n_dp)
-    excl = policy.exclusion_zone(length)
-    dists[np.abs(offs[:, None] - offs[None, :]) < excl] = np.inf
+    for lag in range(policy.exclusion_zone(length), n_dp):   # one diagonal per lag
+        diff = z[lag:] - z[:-lag]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dists[offs[lag:], offs[:-lag]] = d
+        dists[offs[:-lag], offs[lag:]] = d
     dists[~valid, :] = np.inf
     dists[:, ~valid] = np.inf
     return dists

@@ -10,6 +10,7 @@ mean/std come from cumulative plain and squared sums, so any (offset, length)
 pair costs O(1). A window whose values are all equal gets std exactly 0,
 read from a prefix count of value changes: the cumulative-sum variance of a
 flat stretch is cancellation noise that can sit above the constancy floor.
+Sliding dot products use numpy's real FFT at 5-smooth sizes (2^a 3^b 5^c).
 
 All offsets are 0-based. A window of length L at offset i covers
 ``values[i : i + L]`` and exists when ``i + L <= n``.
@@ -17,8 +18,9 @@ All offsets are 0-based. A window of length L at offset i covers
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy import fft as _fft
 
 from . import policy
 from .exceptions import (
@@ -94,7 +96,7 @@ class DataSeries:
         """``rfft(values, size)``, read-only and cached per FFT size."""
         spec = self._spectra.get(size)
         if spec is None:
-            spec = _fft.rfft(self.values, size)
+            spec = np.fft.rfft(self.values, size)
             spec.setflags(write=False)
             self._spectra[size] = spec
         return spec
@@ -132,10 +134,25 @@ def sliding_dot_product(query: np.ndarray, series: DataSeries) -> np.ndarray:
     n, length = series.n, q.shape[0]
     if length > n:
         raise LengthExceedsSeriesError(f"query length {length} > series length {n}")
-    size = _fft.next_fast_len(n + length - 1, real=True)
-    spec = series.spectrum(size) * _fft.rfft(q[::-1], size)
-    conv = _fft.irfft(spec, size)
+    size = _fast_len(n + length - 1)
+    spec = series.spectrum(size) * np.fft.rfft(q[::-1], size)
+    conv = np.fft.irfft(spec, size)
     return conv[length - 1:n]
+
+
+@functools.lru_cache(maxsize=None)
+def _fast_len(t: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= t, the size ``scipy.fft.next_fast_len(t, real=True)`` picks."""
+    best = 1 << (t - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that brings it to t or more
+            best = min(best, p35 << (-(-t // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def advance_dot_products(qt: np.ndarray, series: DataSeries, i: int, length: int,

@@ -1,9 +1,12 @@
 """API guards: ``seriesmine.__all__`` is exactly what the package exposes,
-every internal name the benchmark's tracer binds still exists, and the
-benchmark's count identities hold on a traced run."""
+importing the package and its CLI loads no scipy module, every internal name
+the benchmark's tracer binds still exists, and the benchmark's count
+identities hold on a traced run."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -35,6 +38,16 @@ def test_no_public_name_outside_all():
                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(exposed - set(seriesmine.__all__)) == []
     assert len(seriesmine.__all__) == len(set(seriesmine.__all__))
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    code = ("import sys, seriesmine, seriesmine.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(seriesmine.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_tracer_bindings_resolve():

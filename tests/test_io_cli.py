@@ -197,6 +197,14 @@ def test_env_var_overrides(series_file, tmp_path, monkeypatch):
     assert type(params["radius_factor"]) is float and params["radius_factor"] == 2.5
     assert type(params["top_k"]) is int and params["top_k"] == 7
 
+    # a store_true flag reads its variable like --trace reads MINE_TRACE
+    for value, expected in (("1", True), ("0", False)):
+        monkeypatch.setenv("MINE_PER_LENGTH", value)
+        assert main(["discords", "--input", series_file, "--output", out]) == 0
+        doc = _load(out)
+        assert doc["parameters"]["per_length"] is expected
+        assert ("per_length" in doc) is expected
+
 
 def test_threads_flag_identical_output(series_file, tmp_path):
     outs = []

@@ -5,7 +5,7 @@ import seriesmine as sm
 from seriesmine.exceptions import (EmptySeriesError, LengthExceedsSeriesError,
                                    NonFiniteError, OutOfRangeError)
 from seriesmine.profile import PartialProfiles, compute_matrix_profile
-from seriesmine.series import _znorm, pair_distance
+from seriesmine.series import _fast_len, _znorm, pair_distance
 from seriesmine.synthetic import random_walk
 
 
@@ -110,6 +110,13 @@ def test_cached_stats_and_spectrum_equal_uncached_formulas():
                             size)[length - 1:t.n]
             for _ in range(2):
                 assert np.array_equal(sm.sliding_dot_product(q, t), ref)
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    # equal FFT sizes keep the sliding dot products bit-equal to scipy's
+    from scipy import fft
+    fast_len = _fast_len.__wrapped__    # uncached, so the test leaves the cache empty
+    assert [t for t in range(1, 60000) if fast_len(t) != fft.next_fast_len(t, real=True)] == []
 
 
 def test_flat_windows_have_zero_std():
