@@ -284,6 +284,9 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format not in ("json", "csv"):   # argparse checks choices on flags only
+        parser.error(f"argument --format: invalid choice: {args.format!r} "
+                     "(choose from 'json', 'csv')")
 
     try:
         series = _io.read_series(args.input, args.column)

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 class LengthTrace:
     """Per-length pruning counters, plus the certified motif when tracing one.
 
-    ``reseed`` says why a length ran a full rescan: ``"uncertified"`` when
-    certification failed, ``"cost"`` when the floors owed since the last
-    seed outgrew one scan; None when no rescan ran.
+    ``reseed`` says why a length ran a full rescan: ``"cost"`` when the
+    rows it would recompute, plus those recomputed or owed since the last
+    scan, outgrow one scan; None when no rescan ran.
     """
 
     length: int

@@ -10,34 +10,29 @@ certifying each row against its scaled harvest threshold:
 * otherwise the row is *non-valid*: its true minimum is only known to be at
   least the threshold.
 
-If the smallest valid distance undercuts every non-valid row's threshold, the
-per-length motif is certified without further work. Failing that, the driver
-recomputes from scratch either just the non-valid rows that could still hide
-the motif (when they are few), or the whole profile.
+A non-valid row whose threshold undercuts the best valid distance could
+hide the length's motif; the other non-valid rows leave *floors*. A final
+repair pass recomputes exactly those (row, length) floors that still
+undercut the row's best-so-far normalized match, which makes the merged
+per-offset output exact at every offset, not just at the motif.
 
-Certification alone pins down the motif, not every row's value: non-valid
-rows that were never recomputed carry only a floor. A final repair pass
-recomputes exactly those (row, length) floors that still undercut the row's
-best-so-far normalized match, which makes the merged per-offset output exact
-at every offset, not just at the motif.
-
-Floors pile up as the stored entries age, so ``valmod`` also re-seeds by
-cost (ski rental). After each certified length it counts the floors the
-repair pass could still owe — those whose normalized floor undercuts the
-offset's current best, or whose offset is unpopulated — and adds them to a
-total kept since the last full scan. Once that total exceeds the rows one
-full scan at this length computes, it buys the scan instead: it rescans the
-whole profile at this length, drops the length's floors and starts the
-count again. Paying per row until the owed rows cost one scan, then buying
-the scan, is never worse than twice the better choice in hindsight, and it
-leaves no constant to tune. A repair row costs an FFT (O(n log n)) and a
-scan row O(n), so the threshold of one scan's rows errs towards rows.
+One ski-rental rule picks, per length, between row recomputes and a full
+rescan. ``owed`` counts the rows recomputed since the last scan plus the
+floors the repair pass could still owe (those whose normalized floor
+undercuts the offset's current best, or whose offset is unpopulated). The
+hiding rows are recomputed when they fit the budget of one scan's rows
+minus ``owed``; then they and the length's owed floors join ``owed``. When
+they do not fit, or ``owed`` outgrows one scan's rows, the length is
+rescanned: its floors drop and the count starts again. Paying per row
+until the rows cost one scan, then buying the scan, is never worse than
+twice the better choice in hindsight, and leaves no constant to tune. A
+row recompute costs an FFT (O(n log n)) and a scan row O(n), so the
+threshold of one scan's rows errs towards rows.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,79 +83,62 @@ def update_valmp(valmp: VALMP, mp_values, ip, n_dp: int, length: int) -> np.ndar
 
 
 def certify_step(min_dists: np.ndarray, thresholds: np.ndarray):
-    """Classify rows as valid/non-valid and decide global certification.
+    """Classify rows as valid/non-valid and find the rows that could hide the motif.
 
     A row is valid when its stored minimum lies strictly below its threshold.
-    Certification holds when the smallest valid distance undercuts
-    ``min_lb_abs``, the smallest threshold among non-valid rows (+inf when
-    all rows are valid).
+    Returns (valid, min_dist_abs, hide): ``min_dist_abs`` is the smallest
+    valid distance (+inf when no row is valid), and ``hide`` marks the
+    non-valid rows whose threshold undercuts it.
     """
     valid = min_dists < thresholds
     min_dist_abs = float(np.min(min_dists[valid])) if valid.any() else np.inf
-    nonvalid = ~valid
-    min_lb_abs = float(np.min(thresholds[nonvalid])) if nonvalid.any() else np.inf
-    return valid, min_dist_abs, min_lb_abs, bool(min_dist_abs < min_lb_abs)
+    return valid, min_dist_abs, ~valid & (thresholds < min_dist_abs)
 
 
 @dataclass
 class SubMPResult:
-    """Per-length attempt outcome: certified values and the uncertified floors."""
+    """Per-length attempt outcome: certified values and the floors left
+    behind, as parallel row and threshold arrays. ``b_best_m`` is False when
+    the hiding rows did not fit the budget; every non-valid row is then a floor."""
 
     b_best_m: bool
     values: np.ndarray          # true profile value per row, NaN where unknown
     indices: np.ndarray         # neighbor per row, -1 where unknown
-    floors: list = field(default_factory=list)   # (row, floor) left uncertified
+    floor_rows: np.ndarray      # non-valid rows not recomputed
+    floor_values: np.ndarray    # their thresholds
     n_valid: int = 0
     n_nonvalid: int = 0
     n_recomputed: int = 0
 
 
 def compute_sub_mp(series: DataSeries, list_dp: PartialProfiles,
-                   new_length: int, p: int) -> SubMPResult:
-    """Certify one length from :meth:`PartialProfiles.step`, then resolve the rest.
+                   new_length: int, budget: int) -> SubMPResult:
+    """Certify one length from :meth:`PartialProfiles.step`, then recompute
+    the rows that could hide the motif when at most ``budget`` of them do.
 
-    The step advances the stored entries and gives each row its best stored
-    match and threshold. When certification fails and the non-valid rows
-    are few (fewer than n·log(p)/log(n), the break-even against a full
-    rescan), the rows whose thresholds still undercut the best certified
-    distance are recomputed from scratch, their stored entries refreshed,
-    and the result re-certified.
-
-    The remaining non-valid rows come back as ``floors``. The caller weighs
-    them against a full rescan: it re-seeds when certification fails, and
-    when the floors the repair pass still owes since the last seed exceed
-    the rows one full scan computes.
+    Each recomputed row gets its true minimum and refreshed stored entries;
+    the other non-valid rows come back as floors. When the hiding rows do
+    not fit, nothing is recomputed and ``b_best_m`` is False.
     """
     best, best_nbr, thr = list_dp.step(new_length, 1)
-    n_dp = thr.shape[0]
-    valid, min_dist_abs, min_lb_abs, b_best_m = certify_step(best[:, 0], thr)
+    valid, _, hide = certify_step(best[:, 0], thr)
     values = np.where(valid, best[:, 0], np.nan)
     indices = np.where(valid, best_nbr[:, 0], -1)
-    nonvalid_rows = np.flatnonzero(np.isfinite(thr) & ~valid)
-    result = SubMPResult(b_best_m, values, indices,
-                         n_valid=int(valid.sum()), n_nonvalid=len(nonvalid_rows))
-
-    if not b_best_m and len(nonvalid_rows) < n_dp * math.log(p) / math.log(max(n_dp, 2)):
-        for i in nonvalid_rows:
-            if thr[i] < min_dist_abs:
-                _recompute_row(series, list_dp, int(i), new_length, values, indices)
-                result.n_recomputed += 1
-            else:
-                result.floors.append((int(i), float(thr[i])))
-        result.b_best_m = True
-    else:
-        result.floors = [(int(i), float(thr[i])) for i in nonvalid_rows]
-    return result
-
-
-def _recompute_row(series, list_dp, i, length, values, indices):
-    """Exact row rescan: write its true minimum and refresh its stored entries."""
-    dist, f_row, qt_row = row_profile(series, i, length, want_f=True)
-    j = int(np.argmin(dist))
-    if np.isfinite(dist[j]):
-        values[i] = dist[j]
-        indices[i] = j
-    list_dp.harvest_row(i, f_row, qt_row, dist)
+    nonvalid = np.isfinite(thr) & ~valid
+    n_nonvalid = int(nonvalid.sum())
+    hide_rows = np.flatnonzero(hide)
+    fits = hide_rows.shape[0] <= budget
+    if fits:
+        for i in hide_rows.tolist():
+            dist, f_row, qt_row = row_profile(series, i, new_length, want_f=True)
+            j = int(np.argmin(dist))
+            if np.isfinite(dist[j]):
+                values[i], indices[i] = dist[j], j
+            list_dp.harvest_row(i, f_row, qt_row, dist)
+        nonvalid[hide_rows] = False
+    floor_rows = np.flatnonzero(nonvalid)
+    return SubMPResult(fits, values, indices, floor_rows, thr[floor_rows], int(valid.sum()),
+                       n_nonvalid, n_nonvalid - floor_rows.shape[0])
 
 
 def _written_motif(values: np.ndarray, indices: np.ndarray):
@@ -173,17 +151,10 @@ def _written_motif(values: np.ndarray, indices: np.ndarray):
     return min(a, b), max(a, b), float(safe[a])
 
 
-def _owed_rows(valmp: VALMP, floors: list, length: int) -> int:
-    """How many of one length's floors the repair pass could still rescan:
-    those whose normalized floor undercuts the offset's best so far, or whose
-    offset is unpopulated."""
-    if not floors:
-        return 0
-    rec = np.asarray(floors)
-    rows = rec[:, 0].astype(np.int64)
-    norm = rec[:, 1] / math.sqrt(length)
-    return int(np.count_nonzero(~valmp.populated[rows]
-                                | (norm < valmp.norm_distances[rows])))
+def _owed(valmp: VALMP, rows: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Which normalized floors the repair pass could still rescan: those that
+    undercut the offset's best so far, or whose offset is unpopulated."""
+    return ~valmp.populated[rows] | (norm < valmp.norm_distances[rows])
 
 
 def validate_range(series: DataSeries, lmin: int, lmax: int):
@@ -231,25 +202,21 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
 
     valmp = VALMP(series.n - lmin + 1)
     partials = None   # no stored entries before the first scan
-    floors: dict[int, list] = {}
-    owed = 0    # floors the repair pass may still rescan, since the last seed
+    floors = []   # (length, rows, floor values) of every length not rescanned
+    owed = 0      # rows recomputed or owed to the repair pass since the last scan
     for length in range(lmin, lmax + 1):
         n_dp = series.n - length + 1
         reseed = None
-        scan = partials is None     # the first length
         counts = dict(n_valid=n_dp, n_nonvalid=0, n_recomputed=0)
-        if not scan:
-            sub = compute_sub_mp(series, partials, length, p)
+        if partials is not None:    # not the first length
+            sub = compute_sub_mp(series, partials, length, n_dp - owed)
             counts = dict(n_valid=sub.n_valid, n_nonvalid=sub.n_nonvalid,
                           n_recomputed=sub.n_recomputed)
-            if not sub.b_best_m:
-                reseed = "uncertified"
-            else:
-                owed += _owed_rows(valmp, sub.floors, length)
-                if owed > n_dp:
-                    reseed = "cost"
-            scan = reseed is not None
-        if scan:
+            owed += sub.n_recomputed + np.count_nonzero(_owed(
+                valmp, sub.floor_rows, sub.floor_values * np.sqrt(1.0 / length)))
+            if not sub.b_best_m or owed > n_dp:
+                reseed = "cost"
+        if partials is None or reseed:
             res = compute_matrix_profile(series, length, p)
             partials = res.partials
             values, indices = res.profile.mp, res.profile.ip
@@ -258,8 +225,7 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
             counts["n_recomputed"] += counts["n_nonvalid"]
         else:
             values, indices = sub.values, sub.indices
-            for i, floor_value in sub.floors:
-                floors.setdefault(i, []).append((floor_value, length))
+            floors.append((length, sub.floor_rows, sub.floor_values))
         fold(valmp, values, indices, n_dp, length)
         if trace is not None:
             trace.add_length(length, n_profiles=n_dp, motif=_written_motif(values, indices),
@@ -271,33 +237,41 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
 
 def _repair(series, valmp, floors, ranking, trace):
     """Recompute every floored (offset, length) that could still beat the
-    offset's best entry, restoring per-offset exactness."""
-    for i, recs in floors.items():
-        recs.sort(key=lambda r: r[0] / math.sqrt(r[1]))
-        for floor_value, length in recs:
-            floor_norm = floor_value / math.sqrt(length)
-            if valmp.populated[i] and floor_norm >= valmp.norm_distances[i]:
-                break
-            dist, _, _ = row_profile(series, i, length)
-            j = int(np.argmin(dist))
-            if trace is not None:
-                trace.bump_recomputed(length)
-            if not np.isfinite(dist[j]):
-                continue
-            cand_norm = dist[j] / math.sqrt(length)
-            better = (not valmp.populated[i]
-                      or cand_norm < valmp.norm_distances[i]
-                      or (cand_norm == valmp.norm_distances[i]
-                          and length < valmp.lengths[i]))
-            if better:
-                valmp.distances[i] = dist[j]
-                valmp.norm_distances[i] = cand_norm
-                valmp.lengths[i] = length
-                valmp.indices[i] = j
-                valmp.populated[i] = True
-                if ranking is not None:
-                    d = float(dist[j])
-                    ranking.push(i, j, d, length, d * float(np.sqrt(1.0 / length)))
+    offset's best entry, restoring per-offset exactness.
+
+    Each offset's floors are tried in ascending normalized order, ties to the
+    shorter length; a floor at or above the offset's best is skipped.
+    """
+    if not floors:
+        return
+    rows = np.concatenate([r for _, r, _ in floors])
+    lengths = np.concatenate([np.full(r.shape[0], length) for length, r, _ in floors])
+    norm = np.concatenate([v * np.sqrt(1.0 / length) for length, _, v in floors])
+    # the bests only fall, so a floor not owed now is never owed later
+    keep = np.flatnonzero(_owed(valmp, rows, norm))
+    for k in keep[np.lexsort((lengths[keep], norm[keep], rows[keep]))]:
+        i, length = int(rows[k]), int(lengths[k])
+        if valmp.populated[i] and norm[k] >= valmp.norm_distances[i]:
+            continue
+        dist, _, _ = row_profile(series, i, length)
+        j = int(np.argmin(dist))
+        if trace is not None:
+            trace.bump_recomputed(length)
+        if not np.isfinite(dist[j]):
+            continue
+        cand_norm = dist[j] * np.sqrt(1.0 / length)
+        better = (not valmp.populated[i]
+                  or cand_norm < valmp.norm_distances[i]
+                  or (cand_norm == valmp.norm_distances[i]
+                      and length < valmp.lengths[i]))
+        if better:
+            valmp.distances[i] = dist[j]
+            valmp.norm_distances[i] = cand_norm
+            valmp.lengths[i] = length
+            valmp.indices[i] = j
+            valmp.populated[i] = True
+            if ranking is not None:
+                ranking.push(i, j, float(dist[j]), length, float(cand_norm))
 
 
 def top_variable_length_motif(valmp: VALMP):

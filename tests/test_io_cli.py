@@ -94,7 +94,7 @@ def test_motifs_cli_matches_oracle_cli(series_file, tmp_path):
         assert (re_["offset"], re_["neighbor"]) == (ro["offset"], ro["neighbor"])
         assert re_["distance"] == pytest.approx(ro["distance"], abs=1e-7)
     for rec in e["pruning"]["per_length"]:
-        assert rec["reseed"] in (None, "uncertified", "cost")
+        assert rec["reseed"] in (None, "cost")
         assert rec["full_recompute"] == (rec["reseed"] is not None)
 
 
@@ -204,6 +204,14 @@ def test_env_var_overrides(series_file, tmp_path, monkeypatch):
         doc = _load(out)
         assert doc["parameters"]["per_length"] is expected
         assert ("per_length" in doc) is expected
+
+    # an env-supplied --format is checked like the flag: a usage error before
+    # the input is read; the flag still wins over the variable
+    monkeypatch.setenv("MINE_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        main(["motifs", "--input", str(tmp_path / "missing.txt"), "--output", out])
+    assert exc.value.code == 2
+    assert main(["motifs", "--input", series_file, "--format", "json", "--output", out]) == 0
 
 
 def test_threads_flag_identical_output(series_file, tmp_path):
