@@ -5,7 +5,9 @@ Subcommands: ``mine motifs``, ``mine motif-sets``, ``mine discords``,
 
 Every flag can also be supplied through an environment variable named
 ``MINE_<FLAG>`` (dashes to underscores, upper case). Explicit flags win over
-the environment, the environment wins over the built-in defaults.
+the environment, the environment wins over the built-in defaults. A switch
+reads 0/false/no/off or 1/true/yes/on (any case); any other value is a
+usage error.
 
 ``--threads`` (``MINE_THREADS``) is accepted for compatibility and echoed
 under ``parameters``; the scan itself is single-threaded, so the value does
@@ -53,6 +55,14 @@ def _env_default(dest, fallback=None):
     return os.environ.get(ENV_PREFIX + dest.upper(), fallback)
 
 
+def _env_flag(dest):
+    """A store_true flag's default: its variable read as a boolean word, or
+    the raw value when it is none, which ``main`` rejects as a usage error."""
+    value = _env_default(dest, "")
+    return {"": False, "0": False, "false": False, "no": False, "off": False,
+            "1": True, "true": True, "yes": True, "on": True}.get(value.lower(), value)
+
+
 def _add_common(sub, lengths=True):
     sub.add_argument("--input", required=_env_default("input") is None,
                      default=_env_default("input"), help="series file")
@@ -71,8 +81,7 @@ def _add_common(sub, lengths=True):
     sub.add_argument("--output", default=_env_default("output"))
     sub.add_argument("--format", choices=["json", "csv"],
                      default=_env_default("format", DEFAULTS["format"]))
-    sub.add_argument("--trace", action="store_true",
-                     default=_env_default("trace") not in (None, "", "0"))
+    sub.add_argument("--trace", action="store_true", default=_env_flag("trace"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--k", type=int, default=_env_default("k", DEFAULTS["k"]))
     disc.add_argument("--m", type=int, default=_env_default("m", DEFAULTS["m"]))
     disc.add_argument("--per-length", action="store_true",
-                      default=_env_default("per_length") not in (None, "", "0"),
+                      default=_env_flag("per_length"),
                       help="include every per-length matrix in the output")
 
     mp = subs.add_parser("mp", help="matrix profile at one fixed length")
@@ -287,6 +296,10 @@ def main(argv=None) -> int:
     if args.format not in ("json", "csv"):   # argparse checks choices on flags only
         parser.error(f"argument --format: invalid choice: {args.format!r} "
                      "(choose from 'json', 'csv')")
+    for dest in ("trace", "per_length"):     # a variable that named no boolean
+        if isinstance(getattr(args, dest, False), str):
+            parser.error(f"{ENV_PREFIX}{dest.upper()}: not a boolean: {getattr(args, dest)!r} "
+                         "(use 0/false/no/off or 1/true/yes/on)")
 
     try:
         series = _io.read_series(args.input, args.column)

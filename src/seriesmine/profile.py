@@ -266,9 +266,12 @@ def _row_arrays(series: DataSeries, qt_row: np.ndarray, i: int, length: int,
     return dist, f_row
 
 
-def row_profile(series: DataSeries, i: int, length: int, want_f: bool = False):
-    """One full distance row from scratch (FFT dot products + window stats)."""
-    qt_row = sliding_dot_product(series.window(i, length), series)
+def row_profile(series: DataSeries, i: int, length: int, want_f: bool = False,
+                qt_row: np.ndarray | None = None):
+    """One full distance row from scratch (FFT dot products + window stats);
+    a caller that batched the FFTs passes the row's dot products as ``qt_row``."""
+    if qt_row is None:
+        qt_row = sliding_dot_product(series.window(i, length), series)
     mu, sd = series.moving_stats(length)
     valid = sd >= series.sigma_floor
     dist, f_row = _row_arrays(series, qt_row, i, length, mu, sd, valid, want_f=want_f)

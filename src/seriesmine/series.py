@@ -10,7 +10,8 @@ mean/std come from cumulative plain and squared sums, so any (offset, length)
 pair costs O(1). A window whose values are all equal gets std exactly 0,
 read from a prefix count of value changes: the cumulative-sum variance of a
 flat stretch is cancellation noise that can sit above the constancy floor.
-Sliding dot products use numpy's real FFT at 5-smooth sizes (2^a 3^b 5^c).
+Sliding dot products use numpy's real FFT at 5-smooth sizes (2^a 3^b 5^c),
+one 2-D transform for a batch of queries that share a size.
 
 All offsets are 0-based. A window of length L at offset i covers
 ``values[i : i + L]`` and exists when ``i + L <= n``.
@@ -135,9 +136,30 @@ def sliding_dot_product(query: np.ndarray, series: DataSeries) -> np.ndarray:
     if length > n:
         raise LengthExceedsSeriesError(f"query length {length} > series length {n}")
     size = _fast_len(n + length - 1)
-    spec = series.spectrum(size) * np.fft.rfft(q[::-1], size)
-    conv = np.fft.irfft(spec, size)
-    return conv[length - 1:n]
+    return _fft_convolve(series, q[::-1], size)[length - 1:n]
+
+
+def sliding_dot_products(series: DataSeries, queries, max_rows: int):
+    """Yield (k, ``sliding_dot_product(queries[k], series)``), bit for bit, for
+    every query: one 2-D rfft/irfft per FFT size and block of ``max_rows``
+    queries, sizes ascending, each size's queries in their given order."""
+    by_size: dict[int, list[int]] = {}
+    for k, q in enumerate(queries):
+        by_size.setdefault(_fast_len(series.n + q.shape[0] - 1), []).append(k)
+    for size, ks in sorted(by_size.items()):
+        for block in (ks[b:b + max_rows] for b in range(0, len(ks), max_rows)):
+            buf = np.zeros((len(block), size))
+            for r, k in enumerate(block):
+                buf[r, :queries[k].shape[0]] = queries[k][::-1]
+            conv = _fft_convolve(series, buf, size)
+            yield from ((k, conv[r, queries[k].shape[0] - 1:series.n]) for r, k in enumerate(block))
+
+
+def _fft_convolve(series: DataSeries, rev: np.ndarray, size: int) -> np.ndarray:
+    """``irfft(spectrum * rfft(rev, size), size)`` along the last axis of
+    ``rev``: one reversed query, or a batch of zero-padded rows."""
+    spec = np.fft.rfft(rev, size)
+    return np.fft.irfft(np.multiply(series.spectrum(size), spec, out=spec), size)
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,7 +14,9 @@ A non-valid row whose threshold undercuts the best valid distance could
 hide the length's motif; the other non-valid rows leave *floors*. A final
 repair pass recomputes exactly those (row, length) floors that still
 undercut the row's best-so-far normalized match, which makes the merged
-per-offset output exact at every offset, not just at the motif.
+per-offset output exact at every offset, not just at the motif. It walks
+the floors in rounds of one floor per offset, so a round's row FFTs run as
+one batch.
 
 One ski-rental rule picks, per length, between row recomputes and a full
 rescan. ``owed`` counts the rows recomputed since the last scan plus the
@@ -38,8 +40,8 @@ import numpy as np
 
 from . import policy
 from .exceptions import InvalidParametersError, SeriesTooShortError, UnpopulatedError
-from .profile import PartialProfiles, compute_matrix_profile, row_profile
-from .series import DataSeries
+from .profile import _BLOCK_CELLS, PartialProfiles, compute_matrix_profile, row_profile
+from .series import DataSeries, sliding_dot_products
 
 
 class VALMP:
@@ -129,8 +131,10 @@ def compute_sub_mp(series: DataSeries, list_dp: PartialProfiles,
     hide_rows = np.flatnonzero(hide)
     fits = hide_rows.shape[0] <= budget
     if fits:
-        for i in hide_rows.tolist():
-            dist, f_row, qt_row = row_profile(series, i, new_length, want_f=True)
+        queries = [series.window(i, new_length) for i in hide_rows.tolist()]
+        for k, qt in sliding_dot_products(series, queries, max(1, _BLOCK_CELLS // series.n)):
+            i = int(hide_rows[k])
+            dist, f_row, qt_row = row_profile(series, i, new_length, want_f=True, qt_row=qt)
             j = int(np.argmin(dist))
             if np.isfinite(dist[j]):
                 values[i], indices[i] = dist[j], j
@@ -240,38 +244,44 @@ def _repair(series, valmp, floors, ranking, trace):
     offset's best entry, restoring per-offset exactness.
 
     Each offset's floors are tried in ascending normalized order, ties to the
-    shorter length; a floor at or above the offset's best is skipped.
+    shorter length; a floor at or above the offset's best is skipped, and so
+    are its later ones, which sit no lower. Round r takes every offset's r-th
+    floor and recomputes the owed rows with their FFTs batched. Its offsets
+    are distinct and each decision reads only its own offset's entry, so the
+    rounds recompute the rows, and leave the entries, of one offset at a time.
     """
     if not floors:
         return
     rows = np.concatenate([r for _, r, _ in floors])
     lengths = np.concatenate([np.full(r.shape[0], length) for length, r, _ in floors])
     norm = np.concatenate([v * np.sqrt(1.0 / length) for length, _, v in floors])
-    # the bests only fall, so a floor not owed now is never owed later
-    keep = np.flatnonzero(_owed(valmp, rows, norm))
-    for k in keep[np.lexsort((lengths[keep], norm[keep], rows[keep]))]:
-        i, length = int(rows[k]), int(lengths[k])
-        if valmp.populated[i] and norm[k] >= valmp.norm_distances[i]:
-            continue
-        dist, _, _ = row_profile(series, i, length)
-        j = int(np.argmin(dist))
-        if trace is not None:
-            trace.bump_recomputed(length)
-        if not np.isfinite(dist[j]):
-            continue
-        cand_norm = dist[j] * np.sqrt(1.0 / length)
-        better = (not valmp.populated[i]
-                  or cand_norm < valmp.norm_distances[i]
-                  or (cand_norm == valmp.norm_distances[i]
-                      and length < valmp.lengths[i]))
-        if better:
-            valmp.distances[i] = dist[j]
-            valmp.norm_distances[i] = cand_norm
-            valmp.lengths[i] = length
-            valmp.indices[i] = j
-            valmp.populated[i] = True
-            if ranking is not None:
-                ranking.push(i, j, float(dist[j]), length, float(cand_norm))
+    order = np.lexsort((lengths, norm, rows))
+    rank = np.arange(order.shape[0]) - np.searchsorted(rows[order], rows[order])
+    for r in range(int(rank.max(initial=-1)) + 1):
+        ks = order[rank == r]
+        ks = ks[_owed(valmp, rows[ks], norm[ks])]
+        todo = list(zip(rows[ks].tolist(), lengths[ks].tolist()))
+        queries = [series.window(i, length) for i, length in todo]
+        dist_min, nbr = np.empty(len(todo)), np.empty(len(todo), dtype=np.int64)
+        for k, qt in sliding_dot_products(series, queries, max(1, _BLOCK_CELLS // series.n)):
+            i, length = todo[k]
+            dist, _, _ = row_profile(series, i, length, qt_row=qt)
+            nbr[k] = j = dist.argmin()
+            dist_min[k] = dist[j]
+            if trace is not None:
+                trace.bump_recomputed(length)
+        # the round's offsets are distinct, so its entries update as one
+        offs, lens = rows[ks], lengths[ks]
+        cand = dist_min * np.sqrt(1.0 / lens)
+        held = valmp.norm_distances[offs]
+        better = np.isfinite(cand) & (~valmp.populated[offs] | (cand < held)
+                                      | ((cand == held) & (lens < valmp.lengths[offs])))
+        offs, nbr, d, lens, cand = (a[better] for a in (offs, nbr, dist_min, lens, cand))
+        valmp.distances[offs], valmp.norm_distances[offs], valmp.lengths[offs] = d, cand, lens
+        valmp.indices[offs], valmp.populated[offs] = nbr, True
+        if ranking is not None:
+            for pair in zip(offs.tolist(), nbr.tolist(), d.tolist(), lens.tolist(), cand.tolist()):
+                ranking.push(*pair)
 
 
 def top_variable_length_motif(valmp: VALMP):

@@ -164,6 +164,19 @@ def test_equals_oracle_on_random_series(seed, k, m):
     assert np.allclose(scan.merged.dist, merged_o.dist, atol=1e-7)
 
 
+def test_size_tier_w4_per_length_equals_oracle():
+    # the ROADMAP W4 size (n=3000, L 32-64, k=m=3, p=10); the oracle builds
+    # full distance matrices, so three of the lengths are checked
+    t = sm.ingest(random_walk(3000, seed=2))
+    scan = sm.topkm_discord_discovery(t, 32, 64, 3, 3, 10)
+    for length in (32, 48, 64):
+        o = sm.brute_force_discords(t, length, length, 3, 3)[0][length]
+        e = scan.per_length[length]
+        assert np.array_equal(e.offset, o.offset), length
+        assert np.all(np.isfinite(o.dist))
+        assert np.allclose(e.dist, o.dist, rtol=0, atol=1e-7), length
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_flat_shelf_equals_oracle(seed):
     # windows inside the shelf are exactly constant and never candidates

@@ -198,12 +198,31 @@ def test_env_var_overrides(series_file, tmp_path, monkeypatch):
     assert type(params["top_k"]) is int and params["top_k"] == 7
 
     # a store_true flag reads its variable like --trace reads MINE_TRACE
-    for value, expected in (("1", True), ("0", False)):
+    for value, expected in (("1", True), ("0", False), ("false", False), ("Yes", True),
+                            ("OFF", False), ("", False)):
         monkeypatch.setenv("MINE_PER_LENGTH", value)
         assert main(["discords", "--input", series_file, "--output", out]) == 0
         doc = _load(out)
         assert doc["parameters"]["per_length"] is expected
         assert ("per_length" in doc) is expected
+        monkeypatch.setenv("MINE_TRACE", value)
+        assert main(["motifs", "--input", series_file, "--output", out]) == 0
+        assert ("pruning" in _load(out)) is expected
+    monkeypatch.delenv("MINE_TRACE")
+    monkeypatch.delenv("MINE_PER_LENGTH")
+
+    # a variable that names no boolean is a usage error before the input is
+    # read; an explicit flag still wins over it
+    missing = str(tmp_path / "missing.txt")
+    for var, command in (("MINE_TRACE", "motifs"), ("MINE_PER_LENGTH", "discords")):
+        monkeypatch.setenv(var, "maybe")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", missing, "--output", out])
+        assert exc.value.code == 2
+        monkeypatch.delenv(var)
+    monkeypatch.setenv("MINE_TRACE", "maybe")
+    assert main(["motifs", "--input", series_file, "--trace", "--output", out]) == 0
+    monkeypatch.delenv("MINE_TRACE")
 
     # an env-supplied --format is checked like the flag: a usage error before
     # the input is read; the flag still wins over the variable

@@ -5,7 +5,7 @@ import seriesmine as sm
 from seriesmine.exceptions import (EmptySeriesError, LengthExceedsSeriesError,
                                    NonFiniteError, OutOfRangeError)
 from seriesmine.profile import PartialProfiles, compute_matrix_profile
-from seriesmine.series import _fast_len, _znorm, pair_distance
+from seriesmine.series import _fast_len, _znorm, pair_distance, sliding_dot_products
 from seriesmine.synthetic import random_walk
 
 
@@ -110,6 +110,31 @@ def test_cached_stats_and_spectrum_equal_uncached_formulas():
                             size)[length - 1:t.n]
             for _ in range(2):
                 assert np.array_equal(sm.sliding_dot_product(q, t), ref)
+
+
+@pytest.mark.parametrize("n, lengths, sizes", [
+    (800, (32, 47, 64), {864}),                  # mixed lengths, one FFT size
+    (1000, tuple(range(16, 33)), {1024, 1080}),  # one call, two FFT sizes
+])
+def test_batched_rows_equal_one_query_bits(n, lengths, sizes):
+    # a batched row holds the bits of the one-query 1-D transform, at both
+    # ends of the series and whatever else its 2-D transform carries
+    t = sm.ingest(random_walk(n, seed=n))
+    assert {_fast_len(n + length - 1) for length in lengths} == sizes
+    windows = [(i, length) for length in lengths for i in (0, 1, n // 3, n - length)]
+    queries = [t.window(i, length) for i, length in windows]
+    for max_rows in (1, 5, len(queries)):
+        rows = list(sliding_dot_products(t, queries, max_rows))
+        # sizes ascending, each size's queries in their given order
+        assert [k for k, _ in rows] == sorted(
+            range(len(queries)), key=lambda k: (_fast_len(n + windows[k][1] - 1), k))
+        for k, qt in rows:
+            i, length = windows[k]
+            q = t.window(i, length)
+            size = _fast_len(n + length - 1)
+            ref = np.fft.irfft(t.spectrum(size) * np.fft.rfft(q[::-1], size), size)[length - 1:n]
+            assert np.array_equal(qt, ref), (max_rows, i, length)
+            assert np.array_equal(qt, sm.sliding_dot_product(q, t)), (max_rows, i, length)
 
 
 def test_fast_len_matches_scipy_next_fast_len():

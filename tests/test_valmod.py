@@ -1,4 +1,6 @@
+import copy
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -353,6 +355,131 @@ def test_norm_distances_fold_formula_bit_for_bit(monkeypatch):
     pop = v.populated
     assert np.array_equal(v.norm_distances[pop],
                           v.distances[pop] * np.sqrt(1.0 / v.lengths[pop]))
+
+
+def _sequential_repair(series, valmp, floors, ranking, recomputed):
+    """The repair pass one floor at a time with one FFT per row, offsets
+    ascending, each offset's floors in its (normalized floor, length) order;
+    appends every recomputed (row, length) to ``recomputed``."""
+    from seriesmine.profile import row_profile
+    rows = np.concatenate([r for _, r, _ in floors])
+    lengths = np.concatenate([np.full(r.shape[0], length) for length, r, _ in floors])
+    norm = np.concatenate([v * np.sqrt(1.0 / length) for length, _, v in floors])
+    keep = np.flatnonzero(~valmp.populated[rows] | (norm < valmp.norm_distances[rows]))
+    for k in keep[np.lexsort((lengths[keep], norm[keep], rows[keep]))]:
+        i, length = int(rows[k]), int(lengths[k])
+        if valmp.populated[i] and norm[k] >= valmp.norm_distances[i]:
+            continue
+        dist, _, _ = row_profile(series, i, length)
+        recomputed.append((i, length))
+        j = int(np.argmin(dist))
+        if not np.isfinite(dist[j]):
+            continue
+        cand_norm = dist[j] * np.sqrt(1.0 / length)
+        if (not valmp.populated[i] or cand_norm < valmp.norm_distances[i]
+                or (cand_norm == valmp.norm_distances[i] and length < valmp.lengths[i])):
+            valmp.distances[i], valmp.norm_distances[i] = dist[j], cand_norm
+            valmp.lengths[i], valmp.indices[i], valmp.populated[i] = length, j, True
+            if ranking is not None:
+                ranking.push(i, j, float(dist[j]), length, float(cand_norm))
+
+
+@pytest.mark.parametrize("kind", ["planted motifs", "motif-sets walk"])
+def test_repair_rounds_equal_one_offset_at_a_time(monkeypatch, kind):
+    # the rounds recompute the same (row, length) multiset and leave the same
+    # VALMP bits and ranking keys as the sequential pass on the same input
+    module = importlib.import_module("seriesmine.valmod")
+    row_profile, repair = module.row_profile, module._repair
+    recorded, inside = [], []
+
+    def recorded_row_profile(series, i, length, *args, **kwargs):
+        if inside:
+            recorded.append((i, length))
+        return row_profile(series, i, length, *args, **kwargs)
+
+    def both(series, valmp, floors, ranking, trace):
+        ref_valmp, ref_ranking = copy.deepcopy(valmp), copy.deepcopy(ranking)
+        inside.append(True)
+        repair(series, valmp, floors, ranking, trace)
+        inside.clear()
+        expected = []
+        _sequential_repair(series, ref_valmp, floors, ref_ranking, expected)
+        both.checked.append((valmp, ref_valmp, ranking, ref_ranking, expected))
+
+    both.checked = []
+    monkeypatch.setattr(module, "row_profile", recorded_row_profile)
+    monkeypatch.setattr(module, "_repair", both)
+    if kind == "planted motifs":
+        t, ranking = sm.ingest(planted_motif_benchmark(800, 64, seed=1)), None
+    else:
+        t, ranking = sm.ingest(random_walk(800, seed=1)), sm.PairRanking(40)
+    sm.valmod(t, 32, 64, 10, ranking=ranking)
+    (valmp, ref_valmp, ranking, ref_ranking, expected), = both.checked
+    assert len(expected) > 100
+    assert Counter(recorded) == Counter(expected)
+    for name in ("distances", "norm_distances", "lengths", "indices", "populated"):
+        assert np.array_equal(getattr(valmp, name), getattr(ref_valmp, name)), name
+    if ranking is not None:
+        assert [p.key for p in ranking] == [p.key for p in ref_ranking]
+
+
+@pytest.mark.parametrize("held_length, replaced", [(24, True), (18, False)])
+def test_repair_tie_goes_to_the_shorter_length(held_length, replaced):
+    # a recomputed row whose normalized distance equals the held one replaces
+    # the entry only when its length is shorter
+    module = importlib.import_module("seriesmine.valmod")
+    t = sm.ingest(random_walk(300, seed=4))
+    i, length = 10, 20
+    dist, _, _ = sm.row_profile(t, i, length)
+    j = int(np.argmin(dist))
+    v = VALMP(t.n - 16 + 1)
+    v.distances[i], v.norm_distances[i] = 1.0, dist[j] * np.sqrt(1.0 / length)
+    v.lengths[i], v.indices[i], v.populated[i] = held_length, 99, True
+    module._repair(t, v, [(length, np.array([i]), np.array([0.0]))], None, None)
+    expected = (dist[j], length, j) if replaced else (1.0, held_length, 99)
+    assert (v.distances[i], v.lengths[i], v.indices[i]) == expected
+
+
+def test_valmod_batches_row_ffts_within_the_block_cap(monkeypatch):
+    # the benchmark's call counts read one single-query FFT per scan and none
+    # per recomputed row; every 2-D transform stays within the scan's cell
+    # budget, and a smaller budget changes no bit
+    from seriesmine import profile
+    module = importlib.import_module("seriesmine.valmod")
+    t = sm.ingest(planted_motif_benchmark(800, 64, seed=1))
+    default = sm.valmod(t, 32, 64, 10)
+    for cells in (profile._BLOCK_CELLS, 3 * t.n):
+        calls = {"sliding_dot_product": 0, "row_profile": 0}
+        for owner, name in ((profile, "sliding_dot_product"), (module, "row_profile")):
+            fn = getattr(owner, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        batches = []
+        rfft = np.fft.rfft
+
+        def recorded_rfft(a, *args, **kwargs):
+            if np.ndim(a) == 2:    # the spectrum and a single query are 1-D
+                batches.append(np.shape(a)[0])
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(np.fft, "rfft", recorded_rfft)
+        trace = RunTrace()
+        v = sm.valmod(t, 32, 64, 10, trace=trace)
+        monkeypatch.undo()
+        scans = 1 + sum(r.reseed is not None for r in trace.records)
+        assert calls["sliding_dot_product"] == scans    # one chunk per scan at n=800
+        assert calls["row_profile"] > 500
+        # every recomputed row through a 2-D transform, the scans' through none
+        assert sum(batches) == calls["row_profile"]
+        assert max(batches) <= cells // t.n
+        assert max(batches) == cells // t.n
+        for name in ("distances", "norm_distances", "lengths", "indices", "populated"):
+            assert np.array_equal(getattr(v, name), getattr(default, name)), name
 
 
 # Exact repeats are left out: equal windows are at distance 0, which the
