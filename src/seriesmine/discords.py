@@ -14,13 +14,15 @@ brute-force reference replays the identical order.
 A length step has two halves. The first, :meth:`PartialProfiles.step`, is
 the vectorized half the motif driver shares: advance the stored entries and
 give every row its m best stored matches and its threshold; a row whose m-th
-stored distance sits below it is certified. The second is the sequential
-replay over the live owners in ascending offset, which only does what
-depends on the replay order. A certified owner commits the canonical
-distances of its stored neighbors; any other owner skips recomputation only
-when its (upper-bound) stored distances provably cannot enter the matrix, so
-the pruning leaves the replay's result unchanged. The shortest length is an
-ordinary step: its stored entries come from the full scan at that length.
+stored distance sits below it is certified. The second, in
+:func:`topkm_next_length`, offers the live owners to the matrix in ascending
+offset, and only does what depends on that order. A certified owner commits
+the canonical distances of its stored neighbors; any other owner skips
+recomputation only when its (upper-bound) stored distances provably cannot
+enter the matrix, so the pruning leaves the result unchanged. A recomputed
+owner's m nearest come from the selection that harvests stored entries. The
+shortest length is an ordinary step: its stored entries come from the full
+scan at that length.
 
 Across lengths, matrices merge cell by cell, keeping the largest
 length-normalized distance ``d / sqrt(length)`` (ties to the later, longer
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import policy
 from .exceptions import InvalidParametersError
-from .profile import PartialProfiles, compute_matrix_profile, row_best_matches, row_profile
+from .profile import PartialProfiles, _harvest_select, compute_matrix_profile, row_profile
 from .series import DataSeries, pair_distance
 from .valmod import validate_range
 
@@ -145,71 +147,44 @@ def update_variable_length_discords(dkm: DiscordMatrix,
     return merged
 
 
-def _canonical_values(series, owner: int, nbrs: np.ndarray, length: int, m: int):
-    """Re-derive the owner's match distances through the symmetric pair kernel.
-
-    Values fed into a matrix must tie exactly with their mirrored
-    computation (owner and neighbor swapped), or the strict ranking
-    comparisons would be decided by dot-product round-off. Returns the m
-    distances ascending, +inf where ``nbrs`` runs out (-1 padding).
-    """
-    out = sorted(pair_distance(series, owner, j, length) for j in nbrs.tolist() if j >= 0)
-    return out + [np.inf] * (m - len(out))
-
-
-def _replay(series: DataSeries, dkm: DiscordMatrix, list_dp: PartialProfiles,
-            owners: list, certified: list, stored: np.ndarray, stored_nbrs: np.ndarray,
-            k: int, m: int):
-    """Offer ``owners`` (ascending offsets) to ``dkm``: the order-dependent half of a step.
-
-    ``stored``/``stored_nbrs`` hold each row's m best stored matches. A
-    certified owner commits its canonical values. Any other owner is
-    resolved in place: if even its stored distances (upper bounds of the
-    true ones) beat no cell of the matrix's bottom row, it provably leaves
-    no trace and is skipped; otherwise its full row is recomputed, its
-    stored entries refreshed, and its exact distances offered. Returns
-    (n_valid, n_nonvalid, n_recomputed).
-    """
-    length = dkm.length
-    bottom = dkm.dist[k - 1]      # a view: inserts update it in place
-    n_valid = n_nonvalid = n_recomputed = 0
-    for i in owners:
-        if dkm.has_trivial(i):
-            continue
-        if certified[i]:
-            n_valid += 1
-            update_fixed_length_discords(
-                dkm, _canonical_values(series, i, stored_nbrs[i], length, m), i, k, m)
-            continue
-        n_nonvalid += 1
-        if not (stored[i] > bottom).any():
-            continue
-        dist_row, f_row, qt_row = row_profile(series, i, length, want_f=True)
-        n_recomputed += 1
-        list_dp.harvest_row(i, f_row, qt_row, dist_row)
-        best, best_nbrs = row_best_matches(dist_row, m)
-        if np.isfinite(best[m - 1]):
-            update_fixed_length_discords(
-                dkm, _canonical_values(series, i, best_nbrs, length, m), i, k, m)
-    return n_valid, n_nonvalid, n_recomputed
-
-
 def topkm_next_length(series: DataSeries, list_dp: PartialProfiles, new_length: int,
                       k: int, m: int, counts: dict | None = None) -> DiscordMatrix:
     """One length step of the discord scan, reusing stored entries.
 
     :meth:`PartialProfiles.step` gives each row's m best stored matches and
     threshold; an owner whose m-th stored distance is below its threshold is
-    certified (exact). Then :func:`_replay` offers the live owners to the
-    matrix in ascending offset, recomputing a non-certified owner only when
-    it could still enter the matrix.
+    certified (exact). The live owners are then offered to the matrix in
+    ascending offset, each with the canonical values of its m nearest. A
+    certified owner takes them from its stored entries. Any other owner
+    whose stored distances (upper bounds of the true ones) beat no cell of
+    the matrix's bottom row provably leaves no trace and is skipped; the
+    rest have their full row recomputed and their stored entries refreshed.
     """
     stored, stored_nbrs, thr = list_dp.step(new_length, m)
-    certified = stored[:, m - 1] < thr
-    owners = np.flatnonzero(np.isfinite(thr)).tolist()
+    certified = (stored[:, m - 1] < thr).tolist()
     dkm = DiscordMatrix.empty(k, m, new_length)
-    n_valid, n_nonvalid, n_recomputed = _replay(
-        series, dkm, list_dp, owners, certified.tolist(), stored, stored_nbrs, k, m)
+    bottom = dkm.dist[k - 1]      # a view: inserts update it in place
+    n_valid = n_nonvalid = n_recomputed = 0
+    for i in np.flatnonzero(np.isfinite(thr)).tolist():
+        if dkm.has_trivial(i):
+            continue
+        if certified[i]:
+            n_valid += 1
+            nbrs = stored_nbrs[i]
+        else:
+            n_nonvalid += 1
+            if not (stored[i] > bottom).any():
+                continue
+            dist_row, f_row, qt_row = row_profile(series, i, new_length, want_f=True)
+            n_recomputed += 1
+            list_dp.harvest_row(i, f_row, qt_row, dist_row)
+            nbrs = _harvest_select(dist_row, m)
+            if nbrs.shape[0] < m:
+                continue
+        # the symmetric pair kernel: a value must tie exactly with its mirrored
+        # computation, or round-off would decide the strict rank comparisons
+        canonical = sorted(pair_distance(series, i, j, new_length) for j in nbrs.tolist())
+        update_fixed_length_discords(dkm, canonical, i, k, m)
     if counts is not None:
         counts.update(n_valid=n_valid, n_nonvalid=n_nonvalid, n_recomputed=n_recomputed)
     return dkm

@@ -97,37 +97,47 @@ def _fmt(x) -> str:
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return "%.17g" % float(x)
+    if isinstance(x, list):
+        return " ".join(_fmt(v) for v in x)
     return str(x)
+
+
+def _is_table(value) -> bool:
+    return isinstance(value, list) and bool(value) and isinstance(value[0], dict)
 
 
 def document_to_csv(doc: dict) -> str:
     """Flatten a result document into CSV sections.
 
-    Scalar fields come first as key,value rows; every list-of-dicts payload
-    field becomes its own section with a header row.
+    Scalar fields come first as key,value rows, and lists of scalars as
+    space-separated values. Every list-of-dicts payload field becomes its own
+    section with a header row. A list of dicts inside such a row becomes a
+    further section, ``[parent.field]``, whose rows lead with the parent
+    row's first column.
     """
     out = _io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    tables = {}
+    tables = []
 
     def walk(prefix, value):
-        if isinstance(value, list) and value and isinstance(value[0], dict):
-            tables[prefix] = value
+        if _is_table(value):
+            tables.append((prefix, value))
         elif isinstance(value, dict):
             for sub, x in value.items():
                 walk(f"{prefix}.{sub}" if prefix else sub, x)
-        elif isinstance(value, list):
-            writer.writerow([prefix, " ".join(_fmt(v) for v in value)])
         else:
             writer.writerow([prefix, _fmt(value)])
 
     writer.writerow(["key", "value"])
     for key, value in doc.items():
         walk(key, value)
-    for key, rows in tables.items():
+    for key, rows in tables:    # nested tables join the list as they are found
+        cols = [c for c, x in rows[0].items() if not _is_table(x)]
+        for c in [c for c in rows[0] if c not in cols]:
+            tables.append((f"{key}.{c}", [{cols[0]: row[cols[0]], **sub}
+                                          for row in rows for sub in row[c]]))
         writer.writerow([])
         writer.writerow([f"[{key}]"])
-        cols = list(rows[0].keys())
         writer.writerow(cols)
         for row in rows:
             writer.writerow([_fmt(row.get(c)) for c in cols])

@@ -23,7 +23,7 @@ from . import policy
 from .exceptions import InvalidParametersError
 from .profile import row_profile
 from .series import DataSeries
-from .valmod import VALMP, update_valmp
+from .valmod import VALMP, _fold
 
 
 @dataclass
@@ -93,14 +93,10 @@ class PairRanking:
 
 def update_valmp_for_motif_sets(valmp: VALMP, mp_values, ip, n_dp: int, length: int,
                                 ranking: PairRanking) -> VALMP:
-    """The ranking-aware profile fold: update the per-offset best matches and
-    offer every improving pair to the bounded ranking."""
-    idx = update_valmp(valmp, mp_values, ip, n_dp, length)
-    mp_values = np.asarray(mp_values, dtype=np.float64)
-    ip = np.asarray(ip)
-    for i in idx:
-        ranking.push(int(i), int(ip[i]), float(mp_values[i]), length,
-                     float(valmp.norm_distances[i]))
+    """The ranking-aware profile fold: :func:`~seriesmine.valmod.update_valmp`
+    that also offers every improving pair to the bounded ranking."""
+    _fold(valmp, np.arange(n_dp), np.asarray(mp_values, dtype=np.float64)[:n_dp],
+          np.asarray(ip)[:n_dp], np.full(n_dp, length), ranking)
     return valmp
 
 

@@ -278,20 +278,6 @@ def row_profile(series: DataSeries, i: int, length: int, want_f: bool = False,
     return dist, f_row, qt_row
 
 
-def row_best_matches(dist: np.ndarray, m: int):
-    """The row's m best finite matches: (distances, offsets), each of length m.
-
-    Distances ascending, smaller offset first on ties; padded with +inf and
-    -1 where the row has fewer than m finite cells.
-    """
-    sel = _harvest_select(dist, m)
-    order = sel[np.lexsort((sel, dist[sel]))]
-    dists, nbrs = np.full(m, np.inf), np.full(m, -1, dtype=np.int64)
-    dists[:order.shape[0]] = dist[order]
-    nbrs[:order.shape[0]] = order
-    return dists, nbrs
-
-
 def _scan_chunk(series, length, start, stop, mu, sd, valid_nbr, mp, ip, partials):
     """STOMP recursion over rows [start, stop), seeded by one FFT pass, in
     blocks of about ``_BLOCK_CELLS`` dot products. A live row its block does

@@ -26,6 +26,7 @@ import numpy as np
 from . import policy
 from .exceptions import (
     EmptySeriesError,
+    InvalidParametersError,
     LengthExceedsSeriesError,
     NonFiniteError,
     OutOfRangeError,
@@ -46,7 +47,12 @@ class DataSeries:
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
-            raise ValueError("series must be one-dimensional")
+            raise InvalidParametersError(f"series must be one-dimensional (shape {values.shape})")
+        if values.size == 0:
+            raise EmptySeriesError("series holds no points")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise NonFiniteError(int(np.flatnonzero(~finite)[0]))
         self.values = values
         self.n = int(values.shape[0])
         self._cum = np.concatenate(([0.0], np.cumsum(values)))
@@ -108,20 +114,14 @@ def ingest(raw) -> DataSeries:
 
     Raises
     ------
+    InvalidParametersError
+        For an input that is not one-dimensional (a scalar, a matrix, a column).
     EmptySeriesError
         For a zero-length input.
     NonFiniteError
         If any value is NaN or infinite; carries the first offending position.
     """
-    values = np.asarray(raw, dtype=np.float64)
-    if values.ndim != 1:
-        values = values.reshape(-1)
-    if values.size == 0:
-        raise EmptySeriesError("series holds no points")
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise NonFiniteError(int(np.flatnonzero(~finite)[0]))
-    return DataSeries(values)
+    return DataSeries(raw)
 
 
 def sliding_dot_product(query: np.ndarray, series: DataSeries) -> np.ndarray:

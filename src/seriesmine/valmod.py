@@ -11,12 +11,15 @@ certifying each row against its scaled harvest threshold:
   least the threshold.
 
 A non-valid row whose threshold undercuts the best valid distance could
-hide the length's motif; the other non-valid rows leave *floors*. A final
-repair pass recomputes exactly those (row, length) floors that still
-undercut the row's best-so-far normalized match, which makes the merged
-per-offset output exact at every offset, not just at the motif. It walks
-the floors in rounds of one floor per offset, so a round's row FFTs run as
-one batch.
+hide the length's motif, and is recomputed; the other non-valid rows leave
+*floors*. A final repair pass recomputes exactly those (row, length) floors
+that still undercut the row's best-so-far normalized match, which makes the
+merged per-offset output exact at every offset, not just at the motif. It
+walks the floors in rounds of one floor per offset.
+
+A length's hiding rows and a repair round run through one loop that
+batches their FFTs (``_recompute``), and every result enters the output
+through one fold (``_fold``), which also feeds the motif-set ranking.
 
 One ski-rental rule picks, per length, between row recomputes and a full
 rescan. ``owed`` counts the rows recomputed since the last scan plus the
@@ -66,35 +69,51 @@ class VALMP:
 
 def update_valmp(valmp: VALMP, mp_values, ip, n_dp: int, length: int) -> np.ndarray:
     """Fold one length's profile values in; returns the offsets that improved.
-
-    An entry is replaced when the new normalized distance is strictly
-    smaller — on a tie the earlier (shorter) entry stays.
-    """
+    On a tie the held entry, of a shorter length, stays."""
     mp_values = np.asarray(mp_values, dtype=np.float64)[:n_dp]
-    ip = np.asarray(ip)[:n_dp]
-    lnorm = mp_values * np.sqrt(1.0 / length)
-    improve = np.isfinite(lnorm)
-    improve &= ~valmp.populated[:n_dp] | (valmp.norm_distances[:n_dp] > lnorm)
-    idx = np.flatnonzero(improve)
-    valmp.distances[idx] = mp_values[idx]
-    valmp.norm_distances[idx] = lnorm[idx]
-    valmp.lengths[idx] = length
-    valmp.indices[idx] = ip[idx]
-    valmp.populated[idx] = True
-    return idx
+    return _fold(valmp, np.arange(n_dp), mp_values, np.asarray(ip)[:n_dp],
+                 np.full(n_dp, length))
+
+
+def _fold(valmp: VALMP, offs, dists, nbrs, lengths, ranking=None) -> np.ndarray:
+    """Offer each (offset, distance, neighbor, length) to its entry; returns
+    the offsets replaced, and pushes their pairs to ``ranking`` when given.
+
+    An entry is replaced by a smaller normalized distance, or by an equal one
+    at a shorter length; unpopulated entries hold +inf, and NaN never wins.
+    ``offs`` must be distinct.
+    """
+    norm = dists * np.sqrt(1.0 / lengths)
+    held = valmp.norm_distances[offs]
+    better = (norm < held) | ((norm == held) & (lengths < valmp.lengths[offs]))
+    offs, dists, nbrs, lengths, norm = (a[better] for a in (offs, dists, nbrs, lengths, norm))
+    valmp.distances[offs], valmp.norm_distances[offs], valmp.lengths[offs] = dists, norm, lengths
+    valmp.indices[offs], valmp.populated[offs] = nbrs, True
+    if ranking is not None:
+        for pair in zip(offs.tolist(), nbrs.tolist(), dists.tolist(), lengths.tolist(),
+                        norm.tolist()):
+            ranking.push(*pair)
+    return offs
 
 
 def certify_step(min_dists: np.ndarray, thresholds: np.ndarray):
     """Classify rows as valid/non-valid and find the rows that could hide the motif.
 
     A row is valid when its stored minimum lies strictly below its threshold.
-    Returns (valid, min_dist_abs, hide): ``min_dist_abs`` is the smallest
-    valid distance (+inf when no row is valid), and ``hide`` marks the
-    non-valid rows whose threshold undercuts it.
+    Returns (valid, hide): ``hide`` marks the non-valid rows whose threshold
+    undercuts the smallest valid distance (+inf when no row is valid).
     """
     valid = min_dists < thresholds
-    min_dist_abs = float(np.min(min_dists[valid])) if valid.any() else np.inf
-    return valid, min_dist_abs, ~valid & (thresholds < min_dist_abs)
+    min_dist_abs = np.min(min_dists[valid]) if valid.any() else np.inf
+    return valid, ~valid & (thresholds < min_dist_abs)
+
+
+def _recompute(series: DataSeries, rows, lengths, want_f: bool = False):
+    """Yield (k, (dist, f_row, qt_row)): ``row_profile`` of row ``rows[k]`` at
+    ``lengths[k]`` for every k, the rows' FFTs batched."""
+    queries = [series.window(i, length) for i, length in zip(rows, lengths)]
+    for k, qt in sliding_dot_products(series, queries, max(1, _BLOCK_CELLS // series.n)):
+        yield k, row_profile(series, rows[k], lengths[k], want_f=want_f, qt_row=qt)
 
 
 @dataclass
@@ -123,19 +142,17 @@ def compute_sub_mp(series: DataSeries, list_dp: PartialProfiles,
     not fit, nothing is recomputed and ``b_best_m`` is False.
     """
     best, best_nbr, thr = list_dp.step(new_length, 1)
-    valid, _, hide = certify_step(best[:, 0], thr)
+    valid, hide = certify_step(best[:, 0], thr)
     values = np.where(valid, best[:, 0], np.nan)
     indices = np.where(valid, best_nbr[:, 0], -1)
     nonvalid = np.isfinite(thr) & ~valid
     n_nonvalid = int(nonvalid.sum())
-    hide_rows = np.flatnonzero(hide)
-    fits = hide_rows.shape[0] <= budget
+    hide_rows = np.flatnonzero(hide).tolist()
+    fits = len(hide_rows) <= budget
     if fits:
-        queries = [series.window(i, new_length) for i in hide_rows.tolist()]
-        for k, qt in sliding_dot_products(series, queries, max(1, _BLOCK_CELLS // series.n)):
-            i = int(hide_rows[k])
-            dist, f_row, qt_row = row_profile(series, i, new_length, want_f=True, qt_row=qt)
-            j = int(np.argmin(dist))
+        lengths = [new_length] * len(hide_rows)
+        for k, (dist, f_row, qt_row) in _recompute(series, hide_rows, lengths, want_f=True):
+            i, j = hide_rows[k], int(np.argmin(dist))
             if np.isfinite(dist[j]):
                 values[i], indices[i] = dist[j], j
             list_dp.harvest_row(i, f_row, qt_row, dist)
@@ -196,13 +213,9 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
     if p < 1:
         raise InvalidParametersError("p must be at least 1")
 
-    if ranking is not None:
+    if ranking is not None:   # imported here: motifsets imports this module
         from .motifsets import update_valmp_for_motif_sets as _ms_update
-
-    def fold(valmp, mp_values, ip, n_dp, length):
-        if ranking is None:
-            return update_valmp(valmp, mp_values, ip, n_dp, length)
-        return _ms_update(valmp, mp_values, ip, n_dp, length, ranking)
+    fold = update_valmp if ranking is None else lambda *args: _ms_update(*args, ranking)
 
     valmp = VALMP(series.n - lmin + 1)
     partials = None   # no stored entries before the first scan
@@ -260,28 +273,15 @@ def _repair(series, valmp, floors, ranking, trace):
     for r in range(int(rank.max(initial=-1)) + 1):
         ks = order[rank == r]
         ks = ks[_owed(valmp, rows[ks], norm[ks])]
-        todo = list(zip(rows[ks].tolist(), lengths[ks].tolist()))
-        queries = [series.window(i, length) for i, length in todo]
-        dist_min, nbr = np.empty(len(todo)), np.empty(len(todo), dtype=np.int64)
-        for k, qt in sliding_dot_products(series, queries, max(1, _BLOCK_CELLS // series.n)):
-            i, length = todo[k]
-            dist, _, _ = row_profile(series, i, length, qt_row=qt)
+        offs, lens = rows[ks], lengths[ks]
+        dist_min, nbr = np.empty(ks.shape[0]), np.empty(ks.shape[0], dtype=np.int64)
+        for k, (dist, _, _) in _recompute(series, offs.tolist(), lens.tolist()):
             nbr[k] = j = dist.argmin()
             dist_min[k] = dist[j]
             if trace is not None:
-                trace.bump_recomputed(length)
+                trace.bump_recomputed(int(lens[k]))
         # the round's offsets are distinct, so its entries update as one
-        offs, lens = rows[ks], lengths[ks]
-        cand = dist_min * np.sqrt(1.0 / lens)
-        held = valmp.norm_distances[offs]
-        better = np.isfinite(cand) & (~valmp.populated[offs] | (cand < held)
-                                      | ((cand == held) & (lens < valmp.lengths[offs])))
-        offs, nbr, d, lens, cand = (a[better] for a in (offs, nbr, dist_min, lens, cand))
-        valmp.distances[offs], valmp.norm_distances[offs], valmp.lengths[offs] = d, cand, lens
-        valmp.indices[offs], valmp.populated[offs] = nbr, True
-        if ranking is not None:
-            for pair in zip(offs.tolist(), nbr.tolist(), d.tolist(), lens.tolist(), cand.tolist()):
-                ranking.push(*pair)
+        _fold(valmp, offs, dist_min, nbr, lens, ranking)
 
 
 def top_variable_length_motif(valmp: VALMP):

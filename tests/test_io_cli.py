@@ -49,10 +49,19 @@ def test_read_series_rejects_garbage(tmp_path):
 
 def test_csv_serialization_keeps_17_digits(tmp_path):
     value = 0.1234567890123456789
-    doc = {"schema_version": 1, "x": value, "rows": [{"a": value, "b": 2}]}
-    text = document_to_csv(doc)
-    assert "%.17g" % value in text
-    assert float("%.17g" % value) == value    # lossless round-trip
+    flat = {"schema_version": 1, "x": value, "rows": [{"a": value, "b": 2}]}
+    # tables and lists inside a table's rows: discords --per-length, motif-sets
+    nested = {"schema_version": 1,
+              "per_length": [{"length": 16, "cells": [{"rank": 1, "distance": value}]}],
+              "sets": [{"rank": 1, "anchor": [124, 213], "members": [124, 213]}]}
+    for doc in (flat, nested):
+        text = document_to_csv(doc)
+        assert "%.17g" % value in text
+        assert float("%.17g" % value) == value    # lossless round-trip
+        body = [line for line in text.splitlines() if not line.startswith("[")]
+        assert not any(c in line for line in body for c in "[]{}'")   # no Python repr
+    assert ("[per_length.cells]\nlength,rank,distance\n16,1,%.17g\n" % value) in text
+    assert "[sets]\nrank,anchor,members\n1,124 213,124 213\n" in text
 
 
 def test_json_round_trips_losslessly(tmp_path):

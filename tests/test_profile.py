@@ -9,8 +9,8 @@ from seriesmine import profile
 from seriesmine.exceptions import (AllConstantError, InvalidParametersError,
                                    SeriesTooShortError)
 from seriesmine.oracle import naive_distance_matrix, naive_profile
-from seriesmine.profile import (CHUNK_ROWS, PartialProfiles, compute_matrix_profile,
-                                row_best_matches, row_profile)
+from seriesmine.profile import (CHUNK_ROWS, PartialProfiles, _harvest_select,
+                                compute_matrix_profile, row_profile)
 from seriesmine.series import advance_dot_products, sliding_dot_product
 from seriesmine.synthetic import planted_pair_series, random_walk
 
@@ -192,15 +192,16 @@ def test_best_match_harvest_tracks_m_smallest():
     length, m = 16, 3
     dists = naive_distance_matrix(t, length)
     for i in range(0, t.n - length + 1, 31):
-        best, nbrs = row_best_matches(row_profile(t, i, length)[0], m)
+        row = row_profile(t, i, length)[0]
+        nbrs = _harvest_select(row, m)
         finite = np.sort(dists[i][np.isfinite(dists[i])])[:m]
-        assert np.allclose(best, finite, atol=1e-7)
-        assert np.allclose(dists[i][nbrs], best, atol=1e-7)
+        assert np.allclose(np.sort(row[nbrs]), finite, atol=1e-7)
+        assert np.allclose(dists[i][nbrs], row[nbrs], atol=1e-7)
 
 
-def test_row_best_matches_breaks_ties_towards_smaller_offsets():
+def test_harvest_select_breaks_ties_towards_smaller_offsets():
     # rows with ties at the m-th place and inf cells: the m best are the
-    # first m cells in (distance, offset) order
+    # first m cells in (distance, offset) order, as a set
     rng = np.random.default_rng(12)
     for _ in range(2000):
         n, m = int(rng.integers(1, 40)), int(rng.integers(1, 8))
@@ -208,10 +209,7 @@ def test_row_best_matches_breaks_ties_towards_smaller_offsets():
         d[rng.random(n) < 0.2] = np.inf
         fin = np.flatnonzero(np.isfinite(d))
         want = fin[np.lexsort((fin, d[fin]))][:m]
-        best, nbrs = row_best_matches(d, m)
-        take = want.shape[0]
-        assert np.array_equal(nbrs[:take], want) and np.all(nbrs[take:] == -1)
-        assert np.array_equal(best[:take], d[want]) and np.all(np.isinf(best[take:]))
+        assert np.array_equal(_harvest_select(d, m), np.sort(want))
 
 
 def test_planted_pair_certified_across_lengths():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import seriesmine as sm
-from seriesmine.exceptions import (EmptySeriesError, LengthExceedsSeriesError,
-                                   NonFiniteError, OutOfRangeError)
+from seriesmine.exceptions import (EmptySeriesError, InvalidParametersError,
+                                   LengthExceedsSeriesError, NonFiniteError, OutOfRangeError)
 from seriesmine.profile import PartialProfiles, compute_matrix_profile
 from seriesmine.series import _fast_len, _znorm, pair_distance, sliding_dot_products
 from seriesmine.synthetic import random_walk
@@ -32,6 +32,15 @@ def test_ingest_rejects_nan_with_position():
 def test_ingest_rejects_empty():
     with pytest.raises(EmptySeriesError):
         sm.ingest([])
+
+
+def test_ingest_rejects_non_1d_input():
+    # no silent flattening: a matrix, a column and a scalar are not a series
+    for raw in ([[1.0, 2.0], [3.0, 4.0]], np.arange(5.0)[:, None], 3.0):
+        with pytest.raises(InvalidParametersError, match="one-dimensional"):
+            sm.ingest(raw)
+    with pytest.raises(InvalidParametersError):
+        sm.DataSeries(np.zeros((2, 2)))
 
 
 def test_ingest_million_points(tmp_path):

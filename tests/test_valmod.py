@@ -14,7 +14,8 @@ from seriesmine.exceptions import InvalidParametersError, SeriesTooShortError, U
 from seriesmine.metrics import RunTrace
 from seriesmine.profile import compute_matrix_profile
 from seriesmine.synthetic import planted_motif_benchmark, planted_pair_series, random_walk
-from seriesmine.valmod import VALMP, certify_step, compute_sub_mp, update_valmp
+from seriesmine.motifsets import update_valmp_for_motif_sets
+from seriesmine.valmod import VALMP, _fold, certify_step, compute_sub_mp, update_valmp
 
 
 def test_single_length_equals_normalized_profile():
@@ -50,17 +51,19 @@ def test_certification_decision_quoted_values():
     # not hide the motif because 20.69 > 2.34
     min_dists = np.array([2.34, 24.07])
     thresholds = np.array([3.18, 20.69])
-    valid, min_dist_abs, hide = certify_step(min_dists, thresholds)
+    valid, hide = certify_step(min_dists, thresholds)
     assert valid.tolist() == [True, False]
-    assert min_dist_abs == 2.34
     assert not hide.any()
     # the same non-valid row under a bound below 2.34 could hide the motif
-    _, _, hide = certify_step(min_dists, np.array([3.18, 2.0]))
+    _, hide = certify_step(min_dists, np.array([3.18, 2.0]))
     assert hide.tolist() == [False, True]
+    # ... but not under a bound equal to it
+    _, hide = certify_step(min_dists, np.array([3.18, 2.34]))
+    assert not hide.any()
 
 
 def test_certification_no_nonvalid_is_vacuous():
-    valid, _, hide = certify_step(np.array([1.0, 2.0]), np.array([5.0, 5.0]))
+    valid, hide = certify_step(np.array([1.0, 2.0]), np.array([5.0, 5.0]))
     assert valid.all() and not hide.any()
 
 
@@ -79,6 +82,36 @@ def test_update_valmp_populates_and_keeps_ties():
     better = mp * np.sqrt(25 / 16) * 0.5
     update_valmp(v, better, ip[::-1].copy(), 4, 25)
     assert np.all(v.lengths == 25)
+
+
+def test_fold_pushes_exactly_the_improved_entries():
+    # the motif-set fold and the repair's fold offer the ranking exactly the
+    # entries they replace, as (offset, neighbor, distance, length, norm)
+    class Recorder:
+        def __init__(self):
+            self.pushed = []
+
+        def push(self, *pair):
+            self.pushed.append(pair)
+
+    v, rec = VALMP(4), Recorder()
+    update_valmp_for_motif_sets(v, np.array([4.0, 2.0, np.inf, 1.0]),
+                                np.array([2, 3, -1, 1]), 4, 16, rec)
+    assert rec.pushed == [(0, 2, 4.0, 16, 1.0), (1, 3, 2.0, 16, 0.5), (3, 1, 1.0, 16, 0.25)]
+    # at length 64: offset 0 improves, 1 ties (the shorter entry stays), 2 is
+    # new, 3 is worse
+    rec.pushed.clear()
+    update_valmp_for_motif_sets(v, np.array([4.0, 4.0, 8.0, 8.0]),
+                                np.array([3, 0, 0, 0]), 4, 64, rec)
+    assert rec.pushed == [(0, 3, 4.0, 64, 0.5), (2, 0, 8.0, 64, 1.0)]
+    # a repair result that ties offset 1 at a shorter length replaces it
+    rec.pushed.clear()
+    replaced = _fold(v, np.array([1, 3]), np.array([1.0, 2.0]), np.array([0, 0]),
+                     np.array([4, 16]), rec)
+    assert replaced.tolist() == [1] and rec.pushed == [(1, 0, 1.0, 4, 0.5)]
+    assert v.lengths.tolist() == [64, 4, 64, 16]
+    assert v.norm_distances.tolist() == [0.5, 0.5, 1.0, 0.25]
+    assert v.indices.tolist() == [3, 0, 0, 1] and v.populated.all()
 
 
 def test_compute_sub_mp_all_valid_case():
