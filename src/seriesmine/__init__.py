@@ -11,22 +11,21 @@ Library front door. The engine finds, over a window-length range
   (``topkm_discord_discovery``).
 
 All results are exact; a rank-preserving lower bound on window-extension
-distances prunes the per-length work. Brute-force references live in
-``seriesmine.oracle``.
+distances prunes the per-length work. ``__all__`` is the public API, with
+the brute-force references of ``seriesmine.oracle``. Internal steps stay in
+their modules: ``series`` (dot products, ``pair_distance``), ``profile``
+(``PartialProfiles``, ``row_profile``), ``valmod`` (``compute_sub_mp``,
+``update_valmp``), ``motifsets`` (``update_valmp_for_motif_sets``) and
+``discords`` (``topkm_next_length`` and the two matrix updates).
 """
 
-from .series import DataSeries, ingest, sliding_dot_product, advance_dot_products
-from .profile import (MatrixProfile, PartialProfiles, ProfileResult,
-                      compute_matrix_profile, row_profile)
-from .valmod import (VALMP, SubMPResult, certify_step, compute_sub_mp,
-                     top_variable_length_motif, update_valmp, valmod)
+from .series import DataSeries, ingest
+from .profile import MatrixProfile, ProfileResult, compute_matrix_profile
+from .valmod import VALMP, top_variable_length_motif, valmod
 from .motifsets import (MotifSet, PairRanking, RankedPair,
-                        compute_var_length_motif_sets,
-                        update_valmp_for_motif_sets, validate_disjoint)
+                        compute_var_length_motif_sets, validate_disjoint)
 from .discords import (DiscordMatrix, DiscordScan, VariableLengthDiscordMatrix,
-                       topkm_discord_discovery, topkm_next_length,
-                       update_fixed_length_discords,
-                       update_variable_length_discords)
+                       topkm_discord_discovery)
 from .oracle import brute_force_discords, brute_force_motifs
 from .metrics import RunTrace
 from .io import read_series
@@ -34,17 +33,10 @@ from .io import read_series
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataSeries", "ingest", "sliding_dot_product", "advance_dot_products",
-    "MatrixProfile", "PartialProfiles", "ProfileResult",
-    "compute_matrix_profile", "row_profile",
-    "VALMP", "SubMPResult", "certify_step", "compute_sub_mp",
-    "top_variable_length_motif", "update_valmp", "valmod",
-    "MotifSet", "PairRanking", "RankedPair", "compute_var_length_motif_sets",
-    "update_valmp_for_motif_sets", "validate_disjoint",
-    "DiscordMatrix", "DiscordScan", "VariableLengthDiscordMatrix",
-    "topkm_discord_discovery", "topkm_next_length",
-    "update_fixed_length_discords", "update_variable_length_discords",
-    "brute_force_discords", "brute_force_motifs",
-    "RunTrace",
-    "read_series",
+    "valmod", "VALMP", "top_variable_length_motif",
+    "compute_var_length_motif_sets", "PairRanking", "RankedPair", "MotifSet",
+    "validate_disjoint", "topkm_discord_discovery", "DiscordScan", "DiscordMatrix",
+    "VariableLengthDiscordMatrix", "compute_matrix_profile", "MatrixProfile",
+    "ProfileResult", "DataSeries", "ingest", "read_series", "RunTrace",
+    "brute_force_motifs", "brute_force_discords",
 ]

@@ -148,8 +148,8 @@ def update_variable_length_discords(dkm: DiscordMatrix,
 
 
 def topkm_next_length(series: DataSeries, list_dp: PartialProfiles, new_length: int,
-                      k: int, m: int, counts: dict | None = None) -> DiscordMatrix:
-    """One length step of the discord scan, reusing stored entries.
+                      k: int, m: int) -> tuple[DiscordMatrix, dict]:
+    """One length step of the discord scan: its matrix and pruning counts.
 
     :meth:`PartialProfiles.step` gives each row's m best stored matches and
     threshold; an owner whose m-th stored distance is below its threshold is
@@ -185,9 +185,7 @@ def topkm_next_length(series: DataSeries, list_dp: PartialProfiles, new_length: 
         # computation, or round-off would decide the strict rank comparisons
         canonical = sorted(pair_distance(series, i, j, new_length) for j in nbrs.tolist())
         update_fixed_length_discords(dkm, canonical, i, k, m)
-    if counts is not None:
-        counts.update(n_valid=n_valid, n_nonvalid=n_nonvalid, n_recomputed=n_recomputed)
-    return dkm
+    return dkm, dict(n_valid=n_valid, n_nonvalid=n_nonvalid, n_recomputed=n_recomputed)
 
 
 @dataclass
@@ -216,8 +214,7 @@ def topkm_discord_discovery(series: DataSeries, lmin: int, lmax: int,
     per_length = {}
     for length in range(lmin, lmax + 1):
         n_dp = series.n - length + 1
-        counts: dict = {}
-        dkm = topkm_next_length(series, list_dp, length, k, m, counts)
+        dkm, counts = topkm_next_length(series, list_dp, length, k, m)
         per_length[length] = dkm
         update_variable_length_discords(dkm, merged, k, m)
         if trace is not None:

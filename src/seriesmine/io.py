@@ -30,7 +30,7 @@ def read_series(path: str, column: int | None = None) -> DataSeries:
     """Load a series file: one value per line, or one CSV column."""
     values = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             if column is None:
                 for lineno, line in enumerate(fh, 1):
                     text = line.strip()
@@ -41,8 +41,8 @@ def read_series(path: str, column: int | None = None) -> DataSeries:
                     except ValueError:
                         raise InputFormatError(f"{path}:{lineno}: not a number: {text!r}")
             else:
-                reader = csv.reader(fh)
-                for lineno, row in enumerate(reader, 1):
+                header = True   # a header may lead the first non-blank row
+                for lineno, row in enumerate(csv.reader(fh), 1):
                     if not row:
                         continue
                     if not 0 <= column < len(row):
@@ -50,10 +50,10 @@ def read_series(path: str, column: int | None = None) -> DataSeries:
                     try:
                         values.append(float(row[column]))
                     except ValueError:
-                        if lineno == 1:   # tolerate a header row
-                            continue
-                        raise InputFormatError(
-                            f"{path}:{lineno}: not a number: {row[column]!r}")
+                        if not header:
+                            raise InputFormatError(
+                                f"{path}:{lineno}: not a number: {row[column]!r}")
+                    header = False
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return ingest(values)

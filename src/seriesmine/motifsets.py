@@ -23,7 +23,7 @@ from . import policy
 from .exceptions import InvalidParametersError
 from .profile import row_profile
 from .series import DataSeries
-from .valmod import VALMP, _fold
+from .valmod import VALMP, update_valmp
 
 
 @dataclass
@@ -95,8 +95,7 @@ def update_valmp_for_motif_sets(valmp: VALMP, mp_values, ip, n_dp: int, length: 
                                 ranking: PairRanking) -> VALMP:
     """The ranking-aware profile fold: :func:`~seriesmine.valmod.update_valmp`
     that also offers every improving pair to the bounded ranking."""
-    _fold(valmp, np.arange(n_dp), np.asarray(mp_values, dtype=np.float64)[:n_dp],
-          np.asarray(ip)[:n_dp], np.full(n_dp, length), ranking)
+    update_valmp(valmp, mp_values, ip, n_dp, length, ranking)
     return valmp
 
 

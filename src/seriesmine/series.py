@@ -36,16 +36,16 @@ from .exceptions import (
 class DataSeries:
     """Immutable real-valued series with cumulative sums for O(1) window stats.
 
-    Build one with :func:`ingest`. The value array and both prefix arrays are
-    locked read-only. Two caches fill lazily: the series spectrum per FFT
-    size and the moving stats per window length. A cache entry is a pure
-    function of the values, is computed in full before it is stored, and is
-    locked read-only, so a fill is idempotent and a DataSeries stays safe to
-    share across threads.
+    Build one with :func:`ingest`. The values (a copy of the input) and both
+    prefix arrays are locked read-only. Two caches fill lazily: the series
+    spectrum per FFT size and the moving stats per window length. A cache
+    entry is a pure function of the values, is computed in full before it
+    is stored, and is locked read-only, so a fill is idempotent and a
+    DataSeries stays safe to share across threads.
     """
 
     def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
         if values.ndim != 1:
             raise InvalidParametersError(f"series must be one-dimensional (shape {values.shape})")
         if values.size == 0:
@@ -72,32 +72,31 @@ class DataSeries:
     def window(self, i: int, length: int) -> np.ndarray:
         return self.values[i:i + length]
 
-    def _window_stats(self, offsets: np.ndarray, length: int):
-        """Mean and std of the windows of one length at the given offsets.
+    def moving_stats(self, length: int):
+        """Mean and std of every window of the given length (two read-only
+        arrays of n-L+1), cached per length."""
+        cached = self._moving.get(length)
+        if cached is None:
+            cached = self._moving[length] = self._window_stats(length)
+        return cached
+
+    def _window_stats(self, length: int):
+        """:meth:`moving_stats` without the cache, for a one-off pair.
 
         A flat window gets std exactly 0, and a variance that round-off
         drives below 0 is clamped there.
         """
-        end = offsets + length
-        mu = (self._cum[end] - self._cum[offsets]) / length
-        var = (self._cum2[end] - self._cum2[offsets]) / length - mu * mu
-        np.maximum(var, 0.0, out=var)
-        sd = np.sqrt(var)
-        sd[self._changes[end - 1] == self._changes[offsets]] = 0.0
-        return mu, sd
-
-    def moving_stats(self, length: int):
-        """Mean and std of every window of the given length (two read-only
-        arrays of n-L+1, cached per length)."""
         if length > self.n:
             raise LengthExceedsSeriesError(f"window length {length} > series length {self.n}")
-        cached = self._moving.get(length)
-        if cached is None:
-            mu, sd = self._window_stats(np.arange(self.n - length + 1), length)
-            mu.setflags(write=False)
-            sd.setflags(write=False)
-            cached = self._moving[length] = (mu, sd)
-        return cached
+        n_dp = self.n - length + 1
+        mu = (self._cum[length:] - self._cum[:n_dp]) / length
+        var = (self._cum2[length:] - self._cum2[:n_dp]) / length - mu * mu
+        np.maximum(var, 0.0, out=var)
+        sd = np.sqrt(var)
+        sd[self._changes[length - 1:] == self._changes[:n_dp]] = 0.0
+        mu.setflags(write=False)
+        sd.setflags(write=False)
+        return mu, sd
 
     def spectrum(self, size: int) -> np.ndarray:
         """``rfft(values, size)``, read-only and cached per FFT size."""
@@ -178,21 +177,15 @@ def _fast_len(t: int) -> int:
 
 
 def advance_dot_products(qt: np.ndarray, series: DataSeries, i: int, length: int,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """Shift a dot-product vector from query offset i-1 to query offset i in O(n).
+                         out: np.ndarray) -> np.ndarray:
+    """Shift a dot-product vector from query offset i-1 to i (>= 1) in O(n).
 
     Entry j reuses the overlapping products:
     ``qt'[j] = qt[j-1] - t[j-1]*t[i-1] + t[j+L-1]*t[i+L-1]``;
-    entry 0 is computed directly. The result goes to ``out`` when given (it
-    may be ``qt`` itself), else to a new array. ``i == 0`` returns the input
-    unchanged.
+    entry 0 is computed directly. ``out`` receives the result and may be ``qt``.
     """
-    if i == 0:
-        return qt
     t = series.values
     n_dp = series.n - length + 1
-    if out is None:
-        out = np.empty_like(qt)
     out[1:] = (qt[:n_dp - 1]
                - t[:n_dp - 1] * t[i - 1]
                + t[length:length + n_dp - 1] * t[i + length - 1])
@@ -205,24 +198,16 @@ def pair_distance(series: DataSeries, i: int, j: int, length: int) -> float:
 
     A pure function of the unordered pair: the dot product is taken in
     canonical (min, max) order, so mirrored computations of the same pair
-    tie exactly — which the ranking comparisons rely on. The window stats
-    are read from the ``moving_stats`` arrays when this length's are cached,
-    and otherwise computed for the two offsets alone: both hold the same
-    bits, and a one-off pair does not pay (or keep) an O(n) cache fill.
-    A pair with a constant window is +inf apart.
+    tie exactly — which the ranking comparisons rely on. The window stats are
+    this length's cached ``moving_stats``, else computed and not kept: a
+    one-off pair keeps no O(n) cache fill. A constant window is +inf away.
     """
     a, b = (i, j) if i <= j else (j, i)
     if a < 0 or b + length > series.n:
         raise OutOfRangeError(
             f"window pair ({i}, {j}) of length {length} outside series of {series.n} points")
-    cached = series._moving.get(length)
-    if cached is None:
-        mu, sd = series._window_stats(np.array([a, b]), length)
-        ia, ib = 0, 1
-    else:
-        mu, sd = cached
-        ia, ib = a, b
-    mu_a, sd_a, mu_b, sd_b = float(mu[ia]), float(sd[ia]), float(mu[ib]), float(sd[ib])
+    mu, sd = series._moving.get(length) or series._window_stats(length)
+    mu_a, sd_a, mu_b, sd_b = float(mu[a]), float(sd[a]), float(mu[b]), float(sd[b])
     if sd_a < series.sigma_floor or sd_b < series.sigma_floor:
         return float(np.inf)
     qt = float(np.dot(series.window(a, length), series.window(b, length)))

@@ -67,12 +67,12 @@ class VALMP:
         return self.n_offsets
 
 
-def update_valmp(valmp: VALMP, mp_values, ip, n_dp: int, length: int) -> np.ndarray:
-    """Fold one length's profile values in; returns the offsets that improved.
-    On a tie the held entry, of a shorter length, stays."""
+def update_valmp(valmp: VALMP, mp_values, ip, n_dp: int, length: int, ranking=None) -> np.ndarray:
+    """Fold one length's profile values in by :func:`_fold`, ``ranking`` as there;
+    returns the offsets that improved. On a tie the held, shorter entry stays."""
     mp_values = np.asarray(mp_values, dtype=np.float64)[:n_dp]
     return _fold(valmp, np.arange(n_dp), mp_values, np.asarray(ip)[:n_dp],
-                 np.full(n_dp, length))
+                 np.full(n_dp, length), ranking)
 
 
 def _fold(valmp: VALMP, offs, dists, nbrs, lengths, ranking=None) -> np.ndarray:
@@ -94,18 +94,6 @@ def _fold(valmp: VALMP, offs, dists, nbrs, lengths, ranking=None) -> np.ndarray:
                         norm.tolist()):
             ranking.push(*pair)
     return offs
-
-
-def certify_step(min_dists: np.ndarray, thresholds: np.ndarray):
-    """Classify rows as valid/non-valid and find the rows that could hide the motif.
-
-    A row is valid when its stored minimum lies strictly below its threshold.
-    Returns (valid, hide): ``hide`` marks the non-valid rows whose threshold
-    undercuts the smallest valid distance (+inf when no row is valid).
-    """
-    valid = min_dists < thresholds
-    min_dist_abs = np.min(min_dists[valid]) if valid.any() else np.inf
-    return valid, ~valid & (thresholds < min_dist_abs)
 
 
 def _recompute(series: DataSeries, rows, lengths, want_f: bool = False):
@@ -137,17 +125,21 @@ def compute_sub_mp(series: DataSeries, list_dp: PartialProfiles,
     """Certify one length from :meth:`PartialProfiles.step`, then recompute
     the rows that could hide the motif when at most ``budget`` of them do.
 
-    Each recomputed row gets its true minimum and refreshed stored entries;
-    the other non-valid rows come back as floors. When the hiding rows do
-    not fit, nothing is recomputed and ``b_best_m`` is False.
+    A row is valid when its stored minimum lies strictly below its threshold;
+    a non-valid row could hide the motif when its threshold undercuts the
+    smallest valid distance (+inf when no row is valid). Each recomputed row
+    gets its true minimum and refreshed stored entries; the other non-valid
+    rows come back as floors. When the hiding rows do not fit, nothing is
+    recomputed and ``b_best_m`` is False.
     """
     best, best_nbr, thr = list_dp.step(new_length, 1)
-    valid, hide = certify_step(best[:, 0], thr)
+    valid = best[:, 0] < thr
+    min_dist_abs = np.min(best[valid, 0]) if valid.any() else np.inf
     values = np.where(valid, best[:, 0], np.nan)
     indices = np.where(valid, best_nbr[:, 0], -1)
     nonvalid = np.isfinite(thr) & ~valid
     n_nonvalid = int(nonvalid.sum())
-    hide_rows = np.flatnonzero(hide).tolist()
+    hide_rows = np.flatnonzero(~valid & (thr < min_dist_abs)).tolist()
     fits = len(hide_rows) <= budget
     if fits:
         lengths = [new_length] * len(hide_rows)

@@ -1,7 +1,7 @@
-"""API guards: ``seriesmine.__all__`` is exactly what the package exposes,
-importing the package and its CLI loads no scipy module, every internal name
-the benchmark's tracer binds still exists, and the benchmark's count
-identities hold on a traced run."""
+"""API guards: ``seriesmine.__all__`` is the task surface and exactly what
+the package exposes, importing the package and its CLI loads no scipy
+module, every internal name the benchmark's tracer binds still exists, and
+the benchmark's count identities hold on a traced run."""
 
 import importlib
 import importlib.util
@@ -26,6 +26,18 @@ def _load_perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_public_api_is_the_task_surface():
+    # the three tasks and their result types, the fixed-length profile, series
+    # input, the trace and the oracles; internal steps stay in their modules
+    assert sorted(seriesmine.__all__) == sorted([
+        "valmod", "VALMP", "top_variable_length_motif", "compute_var_length_motif_sets",
+        "PairRanking", "RankedPair", "MotifSet", "validate_disjoint",
+        "topkm_discord_discovery", "DiscordScan", "DiscordMatrix", "VariableLengthDiscordMatrix",
+        "compute_matrix_profile", "MatrixProfile", "ProfileResult",
+        "DataSeries", "ingest", "read_series", "RunTrace",
+        "brute_force_motifs", "brute_force_discords"])
 
 
 def test_all_names_resolve():

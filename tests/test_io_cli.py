@@ -36,6 +36,37 @@ def test_read_series_csv_column(tmp_path):
     assert np.allclose(s.values, [10.5, 11.5])
 
 
+def test_read_series_accepts_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_text("\ufeff1.0\n2.0\n3.0\n", encoding="utf-8")
+    assert read_series(str(path)).values.tolist() == [1.0, 2.0, 3.0]
+    path.write_text("\ufefftime,value\n0,1.5\n1,2.5\n", encoding="utf-8")
+    assert read_series(str(path), column=1).values.tolist() == [1.5, 2.5]
+    path.write_text("\ufeff0,1.5\n1,2.5\n", encoding="utf-8")
+    assert read_series(str(path), column=0).values.tolist() == [0.0, 1.0]
+
+
+def test_csv_header_on_the_first_non_blank_row(tmp_path):
+    path = tmp_path / "s.csv"
+    values = random_walk(12, seed=1)
+    path.write_text("\ntime,value\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(values)))
+    assert np.array_equal(read_series(str(path), column=1).values, values)
+    assert main(["mp", "--input", str(path), "--column", "1", "--length", "4",
+                 "--output", str(tmp_path / "out.json")]) == 0
+
+
+def test_csv_non_number_after_the_first_row_rejected(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    for text, lineno in (("time,value\n0,1.5\nx,y\n1,2.5\n", 3),
+                         ("0,1.5\ntime,value\n1,2.5\n", 2),
+                         ("\n0,1.5\n\ntime,value\n", 4)):
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match=f":{lineno}: not a number"):
+            read_series(str(path), column=1)
+        assert main(["mp", "--input", str(path), "--column", "1", "--length", "4"]) == 2
+        assert capsys.readouterr().err.startswith("mine: input error:")
+
+
 def test_read_series_rejects_garbage(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("1.0\nnot-a-number\n")

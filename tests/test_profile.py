@@ -256,7 +256,7 @@ def _row_by_row_scan(t, length, p):
         if i % CHUNK_ROWS == 0:
             qt = sliding_dot_product(t.window(i, length), t)
         else:
-            qt = advance_dot_products(qt, t, i, length)
+            qt = advance_dot_products(qt, t, i, length, out=qt)
         if not valid[i]:
             continue
         dist, f_row = profile._row_arrays(t, qt, i, length, mu, sd, valid)

@@ -5,7 +5,8 @@ import seriesmine as sm
 from seriesmine.exceptions import (EmptySeriesError, InvalidParametersError,
                                    LengthExceedsSeriesError, NonFiniteError, OutOfRangeError)
 from seriesmine.profile import PartialProfiles, compute_matrix_profile
-from seriesmine.series import _fast_len, _znorm, pair_distance, sliding_dot_products
+from seriesmine.series import (_fast_len, _znorm, advance_dot_products, pair_distance,
+                               sliding_dot_product, sliding_dot_products)
 from seriesmine.synthetic import random_walk
 
 
@@ -19,6 +20,15 @@ def test_ingest_basic():
     s = sm.ingest([1.0, 2.0, 3.0])
     assert s.n == 3
     assert np.allclose(s._cum, [0, 1, 3, 6])
+
+
+def test_ingest_copies_the_callers_array():
+    # the series locks its own copy; the caller's array stays writable
+    a = np.random.default_rng(0).standard_normal(10)
+    before = a.copy()
+    s = sm.ingest(a)
+    a[0] = 1.0
+    assert np.array_equal(s.values, before) and not s.values.flags.writeable
 
 
 def test_ingest_rejects_nan_with_position():
@@ -75,7 +85,7 @@ def test_stats_sigma_clamped_nonnegative():
 
 def test_sliding_dot_product_hand_sum():
     t = sm.ingest([1.0, 2.0, 3.0])
-    qt = sm.sliding_dot_product(np.array([1.0, 1.0]), t)
+    qt = sliding_dot_product(np.array([1.0, 1.0]), t)
     assert np.allclose(qt, [3.0, 5.0])
 
 
@@ -83,7 +93,7 @@ def test_sliding_dot_product_self_equals_squared_sum():
     rng = np.random.default_rng(2)
     t = sm.ingest(rng.standard_normal(128))
     length = 16
-    qt = sm.sliding_dot_product(t.window(0, length), t)
+    qt = sliding_dot_product(t.window(0, length), t)
     mu, sd = t.moving_stats(length)
     assert qt[0] == pytest.approx(length * (sd[0] ** 2 + mu[0] ** 2), rel=1e-12)
 
@@ -93,7 +103,7 @@ def test_sliding_dot_product_matches_naive():
     t = sm.ingest(rng.standard_normal(512))
     length = 32
     q = t.window(100, length)
-    qt = sm.sliding_dot_product(q, t)
+    qt = sliding_dot_product(q, t)
     naive = np.array([np.dot(q, t.values[j:j + length])
                       for j in range(t.n - length + 1)])
     assert np.max(np.abs(qt - naive)) < 1e-9
@@ -118,7 +128,7 @@ def test_cached_stats_and_spectrum_equal_uncached_formulas():
             ref = fft.irfft(fft.rfft(t.values, size) * fft.rfft(q[::-1], size),
                             size)[length - 1:t.n]
             for _ in range(2):
-                assert np.array_equal(sm.sliding_dot_product(q, t), ref)
+                assert np.array_equal(sliding_dot_product(q, t), ref)
 
 
 @pytest.mark.parametrize("n, lengths, sizes", [
@@ -143,7 +153,7 @@ def test_batched_rows_equal_one_query_bits(n, lengths, sizes):
             size = _fast_len(n + length - 1)
             ref = np.fft.irfft(t.spectrum(size) * np.fft.rfft(q[::-1], size), size)[length - 1:n]
             assert np.array_equal(qt, ref), (max_rows, i, length)
-            assert np.array_equal(qt, sm.sliding_dot_product(q, t)), (max_rows, i, length)
+            assert np.array_equal(qt, sliding_dot_product(q, t)), (max_rows, i, length)
 
 
 def test_fast_len_matches_scipy_next_fast_len():
@@ -191,33 +201,26 @@ def test_cached_arrays_are_read_only():
 def test_sliding_dot_product_query_too_long():
     t = sm.ingest([1.0, 2.0, 3.0])
     with pytest.raises(LengthExceedsSeriesError):
-        sm.sliding_dot_product(np.ones(5), t)
+        sliding_dot_product(np.ones(5), t)
 
 
 def test_advance_matches_scratch():
     rng = np.random.default_rng(4)
     t = sm.ingest(rng.standard_normal(256))
     length = 24
-    qt = sm.sliding_dot_product(t.window(0, length), t)
+    qt = sliding_dot_product(t.window(0, length), t)
     for i in range(1, 40):
-        qt = sm.advance_dot_products(qt, t, i, length)
-        scratch = sm.sliding_dot_product(t.window(i, length), t)
+        qt = advance_dot_products(qt, t, i, length, out=qt)
+        scratch = sliding_dot_product(t.window(i, length), t)
         assert np.max(np.abs(qt - scratch)) < 1e-7
-
-
-def test_advance_identity_at_zero():
-    rng = np.random.default_rng(5)
-    t = sm.ingest(rng.standard_normal(64))
-    qt = sm.sliding_dot_product(t.window(0, 8), t)
-    assert sm.advance_dot_products(qt, t, 0, 8) is qt
 
 
 def test_advance_constant_series():
     t = sm.ingest(np.full(40, 2.0))
     length = 8
-    qt = sm.sliding_dot_product(t.window(0, length), t)
+    qt = sliding_dot_product(t.window(0, length), t)
     for i in range(1, 10):
-        qt = sm.advance_dot_products(qt, t, i, length)
+        qt = advance_dot_products(qt, t, i, length, out=qt)
         assert np.allclose(qt, length * 4.0)
 
 

@@ -12,10 +12,10 @@ import seriesmine as sm
 from seriesmine import policy
 from seriesmine.exceptions import InvalidParametersError, SeriesTooShortError, UnpopulatedError
 from seriesmine.metrics import RunTrace
-from seriesmine.profile import compute_matrix_profile
+from seriesmine.profile import compute_matrix_profile, row_profile
 from seriesmine.synthetic import planted_motif_benchmark, planted_pair_series, random_walk
 from seriesmine.motifsets import update_valmp_for_motif_sets
-from seriesmine.valmod import VALMP, _fold, certify_step, compute_sub_mp, update_valmp
+from seriesmine.valmod import VALMP, _fold, compute_sub_mp, update_valmp
 
 
 def test_single_length_equals_normalized_profile():
@@ -45,26 +45,48 @@ def test_planted_pair_top_motif_every_length():
     assert np.array_equal(v.lengths, om.valmp_length)
 
 
+class _StubProfiles:
+    """Stands in for ``PartialProfiles``: ``step`` gives fixed stored minima
+    and thresholds, and ``harvest_row`` records the rows recomputed."""
+
+    def __init__(self, min_dists, thresholds):
+        self.min_dists, self.thresholds = np.array(min_dists), np.array(thresholds)
+        self.harvested = []
+
+    def step(self, length, m):
+        return self.min_dists[:, None], np.zeros((self.min_dists.shape[0], 1), int), \
+            self.thresholds
+
+    def harvest_row(self, i, f_row, qt_row, dist):
+        self.harvested.append(i)
+
+
+def _certify(min_dists, thresholds):
+    """``compute_sub_mp`` on stub stored entries, with room for every row."""
+    stub = _StubProfiles(min_dists, thresholds)
+    sub = compute_sub_mp(sm.ingest(random_walk(64, seed=0)), stub, 8, len(min_dists))
+    return sub, stub.harvested
+
+
 def test_certification_decision_quoted_values():
     # the worked decision: a profile with min 2.34 under its bound 3.18 is
     # certified; one with min 24.07 over its bound 20.69 is not, and it does
     # not hide the motif because 20.69 > 2.34
-    min_dists = np.array([2.34, 24.07])
-    thresholds = np.array([3.18, 20.69])
-    valid, hide = certify_step(min_dists, thresholds)
-    assert valid.tolist() == [True, False]
-    assert not hide.any()
+    sub, hidden = _certify([2.34, 24.07], [3.18, 20.69])
+    assert (sub.n_valid, sub.n_nonvalid, sub.values[0]) == (1, 1, 2.34)
+    assert hidden == [] and sub.floor_rows.tolist() == [1]
     # the same non-valid row under a bound below 2.34 could hide the motif
-    _, hide = certify_step(min_dists, np.array([3.18, 2.0]))
-    assert hide.tolist() == [False, True]
+    sub, hidden = _certify([2.34, 24.07], [3.18, 2.0])
+    assert hidden == [1] and sub.floor_rows.tolist() == []
     # ... but not under a bound equal to it
-    _, hide = certify_step(min_dists, np.array([3.18, 2.34]))
-    assert not hide.any()
+    sub, hidden = _certify([2.34, 24.07], [3.18, 2.34])
+    assert hidden == [] and sub.floor_rows.tolist() == [1]
 
 
 def test_certification_no_nonvalid_is_vacuous():
-    valid, hide = certify_step(np.array([1.0, 2.0]), np.array([5.0, 5.0]))
-    assert valid.all() and not hide.any()
+    sub, hidden = _certify([1.0, 2.0], [5.0, 5.0])
+    assert (sub.n_valid, sub.n_nonvalid) == (2, 0)
+    assert hidden == [] and sub.floor_rows.tolist() == []
 
 
 def test_update_valmp_populates_and_keeps_ties():
@@ -394,7 +416,6 @@ def _sequential_repair(series, valmp, floors, ranking, recomputed):
     """The repair pass one floor at a time with one FFT per row, offsets
     ascending, each offset's floors in its (normalized floor, length) order;
     appends every recomputed (row, length) to ``recomputed``."""
-    from seriesmine.profile import row_profile
     rows = np.concatenate([r for _, r, _ in floors])
     lengths = np.concatenate([np.full(r.shape[0], length) for length, r, _ in floors])
     norm = np.concatenate([v * np.sqrt(1.0 / length) for length, _, v in floors])
@@ -463,7 +484,7 @@ def test_repair_tie_goes_to_the_shorter_length(held_length, replaced):
     module = importlib.import_module("seriesmine.valmod")
     t = sm.ingest(random_walk(300, seed=4))
     i, length = 10, 20
-    dist, _, _ = sm.row_profile(t, i, length)
+    dist, _, _ = row_profile(t, i, length)
     j = int(np.argmin(dist))
     v = VALMP(t.n - 16 + 1)
     v.distances[i], v.norm_distances[i] = 1.0, dist[j] * np.sqrt(1.0 / length)
