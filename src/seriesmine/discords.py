@@ -20,9 +20,9 @@ offset, and only does what depends on that order. A certified owner commits
 the canonical distances of its stored neighbors; any other owner skips
 recomputation only when its (upper-bound) stored distances provably cannot
 enter the matrix, so the pruning leaves the result unchanged. A recomputed
-owner's m nearest come from the selection that harvests stored entries. The
-shortest length is an ordinary step: its stored entries come from the full
-scan at that length.
+owner goes through ``row_profile``'s harvesting form, which settles most rows
+from their p+1 highest correlations. The shortest length is an ordinary
+step: its stored entries come from the full scan at that length.
 
 Across lengths, matrices merge cell by cell, keeping the largest
 length-normalized distance ``d / sqrt(length)`` (ties to the later, longer
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import policy
 from .exceptions import InvalidParametersError
-from .profile import PartialProfiles, _harvest_select, compute_matrix_profile, row_profile
+from .profile import PartialProfiles, compute_matrix_profile, row_profile
 from .series import DataSeries, pair_distance
 from .valmod import validate_range
 
@@ -120,8 +120,8 @@ def update_fixed_length_discords(dkm: DiscordMatrix, best_dists: np.ndarray,
             if d_j > dkm.dist[i, col]:
                 dropped = int(dkm.offset[k - 1, col])
                 if k > 1:
-                    dkm.dist[i + 1:, col] = dkm.dist[i:k - 1, col].copy()
-                    dkm.offset[i + 1:, col] = dkm.offset[i:k - 1, col].copy()
+                    dkm.dist[i + 1:, col] = dkm.dist[i:k - 1, col]
+                    dkm.offset[i + 1:, col] = dkm.offset[i:k - 1, col]
                 dkm.dist[i, col] = d_j
                 dkm.offset[i, col] = off
                 if dropped >= 0:
@@ -131,10 +131,8 @@ def update_fixed_length_discords(dkm: DiscordMatrix, best_dists: np.ndarray,
     return False
 
 
-def update_variable_length_discords(dkm: DiscordMatrix,
-                                    merged: VariableLengthDiscordMatrix,
-                                    k: int, m: int) -> VariableLengthDiscordMatrix:
-    """Fold one length's matrix into the merged ranking, cell by cell.
+def update_variable_length_discords(dkm: DiscordMatrix, merged: VariableLengthDiscordMatrix):
+    """Fold one length's matrix into the merged ranking, cell by cell, in place.
 
     A cell is replaced when its normalized distance is greater *or equal*, so
     later (longer) lengths win exact ties.
@@ -144,7 +142,6 @@ def update_variable_length_discords(dkm: DiscordMatrix,
     merged.dist[mask] = norm[mask]
     merged.offset[mask] = dkm.offset[mask]
     merged.length[mask] = dkm.length
-    return merged
 
 
 def topkm_next_length(series: DataSeries, list_dp: PartialProfiles, new_length: int,
@@ -158,33 +155,38 @@ def topkm_next_length(series: DataSeries, list_dp: PartialProfiles, new_length: 
     certified owner takes them from its stored entries. Any other owner
     whose stored distances (upper bounds of the true ones) beat no cell of
     the matrix's bottom row provably leaves no trace and is skipped; the
-    rest have their full row recomputed and their stored entries refreshed.
+    rest are recomputed by ``row_profile``'s harvesting form, which also
+    refreshes their stored entries. Both tests read the bottom row and the
+    stored values as Python floats (the same bits), and an offer reaches
+    :func:`update_fixed_length_discords` only when it beats the bottom in
+    some column: its own insert condition while columns stay sorted.
     """
     stored, stored_nbrs, thr = list_dp.step(new_length, m)
     certified = (stored[:, m - 1] < thr).tolist()
+    stored = stored.tolist()
     dkm = DiscordMatrix.empty(k, m, new_length)
-    bottom = dkm.dist[k - 1]      # a view: inserts update it in place
+    bottom = dkm.dist[k - 1].tolist()
     n_valid = n_nonvalid = n_recomputed = 0
     for i in np.flatnonzero(np.isfinite(thr)).tolist():
         if dkm.has_trivial(i):
             continue
         if certified[i]:
             n_valid += 1
-            nbrs = stored_nbrs[i]
+            nbrs = stored_nbrs[i].tolist()
         else:
             n_nonvalid += 1
-            if not (stored[i] > bottom).any():
+            if not any(d > b for d, b in zip(stored[i], bottom)):
                 continue
-            dist_row, f_row, qt_row = row_profile(series, i, new_length, want_f=True)
+            nbrs = row_profile(series, i, new_length, harvest=list_dp, m=m)[0].tolist()
             n_recomputed += 1
-            list_dp.harvest_row(i, f_row, qt_row, dist_row)
-            nbrs = _harvest_select(dist_row, m)
-            if nbrs.shape[0] < m:
+            if len(nbrs) < m:
                 continue
         # the symmetric pair kernel: a value must tie exactly with its mirrored
         # computation, or round-off would decide the strict rank comparisons
-        canonical = sorted(pair_distance(series, i, j, new_length) for j in nbrs.tolist())
-        update_fixed_length_discords(dkm, canonical, i, k, m)
+        canonical = sorted(pair_distance(series, i, j, new_length) for j in nbrs)
+        if any(d > b for d, b in zip(canonical, bottom)):
+            update_fixed_length_discords(dkm, canonical, i, k, m)
+            bottom = dkm.dist[k - 1].tolist()
     return dkm, dict(n_valid=n_valid, n_nonvalid=n_nonvalid, n_recomputed=n_recomputed)
 
 
@@ -216,7 +218,7 @@ def topkm_discord_discovery(series: DataSeries, lmin: int, lmax: int,
         n_dp = series.n - length + 1
         dkm, counts = topkm_next_length(series, list_dp, length, k, m)
         per_length[length] = dkm
-        update_variable_length_discords(dkm, merged, k, m)
+        update_variable_length_discords(dkm, merged)
         if trace is not None:
             trace.add_length(length, n_profiles=n_dp, **counts)
     return DiscordScan(merged, per_length)

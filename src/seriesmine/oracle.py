@@ -147,5 +147,5 @@ def brute_force_discords(series: DataSeries, lmin: int, lmax: int, k: int, m: in
                 continue
             update_fixed_length_discords(dkm, best, off, k, m)
         per_length[length] = dkm
-        update_variable_length_discords(dkm, merged, k, m)
+        update_variable_length_discords(dkm, merged)
     return per_length, merged

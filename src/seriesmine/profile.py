@@ -10,7 +10,8 @@ Rows are settled a block at a time in correlation space: one 2-D pass
 gives a block's correlations ``q_raw``, and only each row's p+1 highest
 become distances and bound factors (``_settle_block``). A row whose ties
 reach past them falls back to its full rows, on the dot products in hand.
-The block size changes no output bit.
+The block size changes no output bit. A single recomputed row takes the
+same test (``_settles``) through ``row_profile``'s harvesting form.
 
 While each row is in hand, the scan keeps, per row, the ``p`` entries with
 the smallest extension lower bound. Those partial profiles are what the
@@ -195,10 +196,12 @@ class ProfileResult:
 def _harvest_select(f_row: np.ndarray, p: int):
     """Ascending indices of the p smallest finite values (bound factors or
     distances); boundary ties go to smaller offsets."""
+    if p < f_row.shape[0]:
+        idx = np.argpartition(f_row, (p - 1, p))
+        if f_row[idx[p - 1]] < f_row[idx[p]]:    # no tie at the boundary
+            return np.sort(idx[:p])
     finite = np.isfinite(f_row)
     n_finite = int(finite.sum())
-    if n_finite == 0:
-        return np.empty(0, dtype=np.int64)
     if n_finite <= p:
         return np.flatnonzero(finite).astype(np.int64)
     idx = np.argpartition(f_row, p - 1)[:p]
@@ -240,14 +243,13 @@ def _q_dist(q_raw, length: int):
 def _q_bound(q_raw, length: int):
     """Extension bound factor from correlation; non-increasing in ``q_raw``,
     also after rounding, and ``sqrt(length)`` wherever ``q_raw <= 0``."""
-    qc = np.clip(q_raw, -1.0, 1.0)
-    np.maximum(qc, 0.0, out=qc)
+    qc = np.maximum(q_raw, 0.0)
+    np.minimum(qc, 1.0, out=qc)
     return np.sqrt(length * (1.0 - qc * qc))
 
 
-def _row_arrays(series: DataSeries, qt_row: np.ndarray, i: int, length: int,
-                mu: np.ndarray, sd: np.ndarray, valid_nbr: np.ndarray,
-                want_f: bool = True):
+def _row_arrays(qt_row: np.ndarray, i: int, length: int, mu: np.ndarray, sd: np.ndarray,
+                valid_nbr: np.ndarray, want_f: bool = True):
     """Distance row (and bound-factor row) for owner i from its dot products.
 
     Invalid cells (trivial matches, constant windows) come back +inf.
@@ -267,22 +269,73 @@ def _row_arrays(series: DataSeries, qt_row: np.ndarray, i: int, length: int,
 
 
 def row_profile(series: DataSeries, i: int, length: int, want_f: bool = False,
-                qt_row: np.ndarray | None = None):
-    """One full distance row from scratch (FFT dot products + window stats);
-    a caller that batched the FFTs passes the row's dot products as ``qt_row``."""
+                qt_row: np.ndarray | None = None, harvest: PartialProfiles | None = None,
+                m: int = 1):
+    """One full distance row from scratch (FFT dot products + window stats)
+    as (dist, f_row, qt_row); a caller that batched the FFTs passes the dot
+    products as ``qt_row``. Harvesting form, given ``harvest`` (the partial
+    profiles at ``length``): refresh row i's stored entries and return its m
+    nearest neighbours and their distances, as ``_harvest_select(dist, m)``
+    picks them, from p+1 cells where :func:`_settle_row` settles the row."""
     if qt_row is None:
         qt_row = sliding_dot_product(series.window(i, length), series)
     mu, sd = series.moving_stats(length)
     valid = sd >= series.sigma_floor
-    dist, f_row = _row_arrays(series, qt_row, i, length, mu, sd, valid, want_f=want_f)
+    if harvest is not None:
+        return (_settle_row(harvest, i, qt_row, length, mu, sd, valid, m)
+                or _harvest_full(harvest, i, qt_row, length, mu, sd, valid, m))
+    dist, f_row = _row_arrays(qt_row, i, length, mu, sd, valid, want_f=want_f)
     return dist, f_row, qt_row
+
+
+def _harvest_full(partials, i, qt_row, length, mu, sd, valid, m):
+    """:func:`_settle_row` from the full rows, for any row."""
+    dist, f_row = _row_arrays(qt_row, i, length, mu, sd, valid)
+    partials.harvest_row(i, f_row, qt_row, dist)
+    nbrs = _harvest_select(dist, m)
+    return nbrs, dist[nbrs]
+
+
+def _settle_row(partials, i, qt_row, length, mu, sd, valid, m):
+    """Row i's m nearest neighbours and their distances, its stored entries
+    refreshed, when its p+1 highest correlations settle it; else None."""
+    n_dp, p = mu.shape[0], partials.p
+    if not m <= p < n_dp - 1:
+        return None
+    excl = policy.exclusion_zone(length)
+    q = _correlation(qt_row, length, mu[i], sd[i], mu, sd)
+    q[~valid] = -np.inf
+    q[max(0, i - excl + 1):i + excl] = -np.inf
+    top = np.argpartition(q, n_dp - p - 1)[n_dp - p - 1:]
+    top = top[np.argsort(q[top])]
+    settled, d, f = _settles(q[top], valid[i], p, m, length)
+    if not settled:
+        return None
+    by_offset = np.argsort(top[1:]) + 1
+    nbr, dist = top[by_offset], d[by_offset]
+    partials._store(i, nbr, qt_row[nbr], dist, f[1])
+    near = _harvest_select(dist, m)
+    return nbr[near], dist[near]
+
+
+def _settles(q_top, owner_ok, p: int, m: int, length: int):
+    """Whether a live row's p+1 highest correlations c_{p+1} <= ... <= c_1
+    (ascending on the last axis) settle it; returns (settled, distances,
+    bound factors) of the cells. Both are non-increasing in the correlation,
+    so when c_{p+1}'s distance exceeds c_m's and its bound factor c_p's,
+    every cell up to the m-th distance and exactly the p smallest bounds lie
+    among c_1..c_p, and the row's bits are its full rows'. A c_{p+1} at -inf
+    has the largest bound factor, so it passes only when the row has exactly
+    p candidates, all of which its full rows store. Ties need no order."""
+    d, f = _q_dist(q_top, length), _q_bound(q_top, length)
+    return owner_ok & (d[..., 0] > d[..., p + 1 - m]) & (f[..., 0] > f[..., 1]), d, f
 
 
 def _scan_chunk(series, length, start, stop, mu, sd, valid_nbr, mp, ip, partials):
     """STOMP recursion over rows [start, stop), seeded by one FFT pass, in
     blocks of about ``_BLOCK_CELLS`` dot products. A live row its block does
-    not settle falls back to ``_row_arrays`` + ``harvest_row``. ``mp`` and
-    ``ip`` arrive at +inf and -1."""
+    not settle falls back to ``_harvest_full``. ``mp`` and ``ip`` arrive at
+    +inf and -1."""
     n_dp = mu.shape[0]
     block = min(max(1, _BLOCK_CELLS // n_dp), stop - start)
     qt_buf, q_buf = np.empty((block, n_dp)), np.empty((block, n_dp))
@@ -299,29 +352,16 @@ def _scan_chunk(series, length, start, stop, mu, sd, valid_nbr, mp, ip, partials
         settled = _settle_block(rows, qt, q_buf[:rows.shape[0]], length, mu, sd,
                                 valid_nbr, mp, ip, partials)
         for r in np.flatnonzero(valid_nbr[rows] & ~settled):
-            i = int(rows[r])
-            dist, f_row = _row_arrays(series, qt[r], i, length, mu, sd, valid_nbr)
-            j = int(np.argmin(dist))
-            if np.isfinite(dist[j]):
-                mp[i] = dist[j]
-                ip[i] = j
-            partials.harvest_row(i, f_row, qt[r], dist)
+            nbrs, dists = _harvest_full(partials, rows[r], qt[r], length, mu, sd, valid_nbr, 1)
+            if nbrs.shape[0]:
+                mp[rows[r]], ip[rows[r]] = dists[0], nbrs[0]
 
 
 def _settle_block(rows, qt, q, length, mu, sd, valid_nbr, mp, ip, partials):
-    """Settle the block's rows from their p+1 highest correlations; returns
-    the mask of settled rows.
-
-    ``q`` is scratch of ``qt``'s shape for the correlations, with invalid
-    columns and each row's exclusion zone at -inf. Distance and bound factor
-    are non-increasing in the correlation, so a live row's p+1 highest cells
-    c_1..c_{p+1} settle it when c_{p+1} is a candidate, its distance exceeds
-    c_1's and its bound factor exceeds c_p's: every cell at the best
-    distance, and exactly the p smallest bounds, then lie among them, and
-    the row's output bits equal those of its full rows. Ties inside the p+1
-    cells need no order: the neighbour is the smallest offset at the best
-    distance, and the stored entries are sorted by offset.
-    """
+    """Settle the block's rows from their p+1 highest correlations
+    (:func:`_settles`); returns the mask of settled rows. ``q`` is scratch of
+    ``qt``'s shape for the correlations, with invalid columns and each row's
+    exclusion zone at -inf."""
     n_dp, p = mu.shape[0], partials.p
     if p + 1 >= n_dp:
         return np.zeros(rows.shape[0], dtype=bool)
@@ -331,18 +371,14 @@ def _settle_block(rows, qt, q, length, mu, sd, valid_nbr, mp, ip, partials):
     q[:, ~valid_nbr] = -np.inf
     q[rix, np.clip(rows[:, None] + np.arange(1 - excl, excl), 0, n_dp - 1)] = -np.inf
     top = np.argpartition(q, n_dp - p - 1, axis=1)[:, n_dp - p - 1:]
-    q_top = q[rix, top]
-    order = np.argsort(-q_top, axis=1)
-    top, q_top = top[rix, order], q_top[rix, order]
-    d, f = _q_dist(q_top, length), _q_bound(q_top, length)
-    settled = (valid_nbr[rows] & (q_top[:, p] > -np.inf)
-               & (d[:, p] > d[:, 0]) & (f[:, p] > f[:, p - 1]))
+    top = top[rix, np.argsort(q[rix, top], axis=1)]
+    settled, d, f = _settles(q[rix, top], valid_nbr[rows], p, 1, length)
     s = np.flatnonzero(settled)
-    mp[rows[s]] = d[s, 0]
-    ip[rows[s]] = np.where(d[s] == d[s, :1], top[s], n_dp).min(axis=1)
-    nbr = np.sort(top[s, :p], axis=1)
+    mp[rows[s]] = d[s, p]
+    ip[rows[s]] = np.where(d[s] == d[s, p:], top[s], n_dp).min(axis=1)
+    nbr = np.sort(top[s, 1:], axis=1)
     cells = (s[:, None], nbr)
-    partials._store(rows[s], nbr, qt[cells], _q_dist(q[cells], length), f[s, p - 1])
+    partials._store(rows[s], nbr, qt[cells], _q_dist(q[cells], length), f[s, 1])
     return settled
 
 

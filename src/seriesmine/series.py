@@ -20,6 +20,7 @@ All offsets are 0-based. A window of length L at offset i covers
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -207,14 +208,16 @@ def pair_distance(series: DataSeries, i: int, j: int, length: int) -> float:
         raise OutOfRangeError(
             f"window pair ({i}, {j}) of length {length} outside series of {series.n} points")
     mu, sd = series._moving.get(length) or series._window_stats(length)
-    mu_a, sd_a, mu_b, sd_b = float(mu[a]), float(sd[a]), float(mu[b]), float(sd[b])
+    sd_a, sd_b = sd.item(a), sd.item(b)
     if sd_a < series.sigma_floor or sd_b < series.sigma_floor:
-        return float(np.inf)
-    qt = float(np.dot(series.window(a, length), series.window(b, length)))
-    return _znorm(qt, length, mu_a, sd_a, mu_b, sd_b)
+        return math.inf
+    t = series.values
+    qt = np.dot(t[a:a + length], t[b:b + length]).item()
+    return _znorm(qt, length, mu.item(a), sd_a, mu.item(b), sd_b)
 
 
 def _znorm(qt: float, length: int, mu_a: float, sigma_a: float,
            mu_b: float, sigma_b: float) -> float:
+    """The distance on Python floats; ``math.sqrt`` rounds as ``np.sqrt`` does."""
     radicand = 2.0 * length * (1.0 - (qt - length * mu_a * mu_b) / (length * sigma_a * sigma_b))
-    return float(np.sqrt(radicand)) if radicand > 0.0 else 0.0
+    return math.sqrt(radicand) if radicand > 0.0 else 0.0

@@ -96,12 +96,12 @@ def _fold(valmp: VALMP, offs, dists, nbrs, lengths, ranking=None) -> np.ndarray:
     return offs
 
 
-def _recompute(series: DataSeries, rows, lengths, want_f: bool = False):
-    """Yield (k, (dist, f_row, qt_row)): ``row_profile`` of row ``rows[k]`` at
-    ``lengths[k]`` for every k, the rows' FFTs batched."""
+def _recompute(series: DataSeries, rows, lengths, harvest: PartialProfiles | None = None):
+    """Yield (k, ``row_profile(series, rows[k], lengths[k], harvest=harvest)``)
+    for every k, the rows' FFTs batched."""
     queries = [series.window(i, length) for i, length in zip(rows, lengths)]
     for k, qt in sliding_dot_products(series, queries, max(1, _BLOCK_CELLS // series.n)):
-        yield k, row_profile(series, rows[k], lengths[k], want_f=want_f, qt_row=qt)
+        yield k, row_profile(series, rows[k], lengths[k], qt_row=qt, harvest=harvest)
 
 
 @dataclass
@@ -143,11 +143,9 @@ def compute_sub_mp(series: DataSeries, list_dp: PartialProfiles,
     fits = len(hide_rows) <= budget
     if fits:
         lengths = [new_length] * len(hide_rows)
-        for k, (dist, f_row, qt_row) in _recompute(series, hide_rows, lengths, want_f=True):
-            i, j = hide_rows[k], int(np.argmin(dist))
-            if np.isfinite(dist[j]):
-                values[i], indices[i] = dist[j], j
-            list_dp.harvest_row(i, f_row, qt_row, dist)
+        for k, (nbrs, dists) in _recompute(series, hide_rows, lengths, harvest=list_dp):
+            if nbrs.shape[0]:
+                values[hide_rows[k]], indices[hide_rows[k]] = dists[0], nbrs[0]
         nonvalid[hide_rows] = False
     floor_rows = np.flatnonzero(nonvalid)
     return SubMPResult(fits, values, indices, floor_rows, thr[floor_rows], int(valid.sum()),

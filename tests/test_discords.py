@@ -87,7 +87,7 @@ def test_merge_first_length_is_normalized_copy():
     update_fixed_length_discords(dkm, np.array([2.0, 3.0]), 10, 2, 2)
     update_fixed_length_discords(dkm, np.array([1.0, 2.5]), 40, 2, 2)
     merged = VariableLengthDiscordMatrix.empty(2, 2)
-    update_variable_length_discords(dkm, merged, 2, 2)
+    update_variable_length_discords(dkm, merged)
     assert np.allclose(merged.dist, dkm.dist / 4.0)
     assert np.array_equal(merged.offset, dkm.offset)
     assert np.all(merged.length[merged.offset >= 0] == 16)
@@ -99,8 +99,8 @@ def test_merge_tie_keeps_later_length():
     update_fixed_length_discords(d16, np.array([4.0]), 10, 1, 1)
     d25 = DiscordMatrix.empty(1, 1, 25)
     update_fixed_length_discords(d25, np.array([5.0]), 77, 1, 1)   # 5/sqrt(25) == 4/sqrt(16)
-    update_variable_length_discords(d16, merged, 1, 1)
-    update_variable_length_discords(d25, merged, 1, 1)
+    update_variable_length_discords(d16, merged)
+    update_variable_length_discords(d25, merged)
     assert merged.length[0, 0] == 25 and merged.offset[0, 0] == 77
 
 
@@ -116,7 +116,7 @@ def test_merge_equals_per_cell_max_over_lengths():
             if not dkm.has_trivial(off):
                 update_fixed_length_discords(dkm, vals, off, k, m)
         cells.append(dkm.dist / np.sqrt(length))
-        update_variable_length_discords(dkm, merged, k, m)
+        update_variable_length_discords(dkm, merged)
     assert np.allclose(merged.dist, np.maximum.reduce(cells))
 
 
@@ -284,3 +284,33 @@ def test_capacity_below_m_rejected():
     with pytest.raises(InvalidParametersError) as exc:
         sm.topkm_discord_discovery(t, 16, 24, 1, 3, 2)
     assert "p" in str(exc.value) and "m" in str(exc.value)
+
+
+def test_replay_calls_insert_only_for_offers_that_change_the_matrix(monkeypatch):
+    # the replay hands an offer to the insert only when it beats the bottom
+    # row in some column, which is the insert's own condition while columns
+    # stay sorted: every call lands, fewer calls than offers are made, and
+    # the matrices are the oracle's
+    import seriesmine.discords as discords
+
+    landed, n_pairs = [], [0]
+    insert, pair_distance = discords.update_fixed_length_discords, discords.pair_distance
+
+    def counted_pair_distance(*args):
+        n_pairs[0] += 1
+        return pair_distance(*args)
+
+    def recorded_insert(*args):
+        landed.append(insert(*args))
+        return landed[-1]
+
+    monkeypatch.setattr(discords, "pair_distance", counted_pair_distance)
+    monkeypatch.setattr(discords, "update_fixed_length_discords", recorded_insert)
+    t = sm.ingest(random_walk(500, seed=12))
+    k = m = 3
+    scan = sm.topkm_discord_discovery(t, 16, 20, k, m, 6)
+    assert landed and all(landed)
+    assert len(landed) < n_pairs[0] // m
+    per_o, _ = sm.brute_force_discords(t, 16, 20, k, m)
+    for length, dkm in scan.per_length.items():
+        assert np.array_equal(dkm.offset, per_o[length].offset), length

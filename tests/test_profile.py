@@ -259,7 +259,7 @@ def _row_by_row_scan(t, length, p):
             qt = advance_dot_products(qt, t, i, length, out=qt)
         if not valid[i]:
             continue
-        dist, f_row = profile._row_arrays(t, qt, i, length, mu, sd, valid)
+        dist, f_row = profile._row_arrays(qt, i, length, mu, sd, valid)
         j = int(np.argmin(dist))
         if np.isfinite(dist[j]):
             mp[i], ip[i] = dist[j], j
@@ -394,7 +394,7 @@ def test_block_settle_resolves_near_ties_like_full_rows():
         settled = profile._settle_block(rows, qt, np.empty_like(qt), length, mu, sd,
                                         valid, mp_block, ip_block, block)
         for r, i in enumerate(rows):
-            dist, f_row = profile._row_arrays(t, qt[r], i, length, mu, sd, valid)
+            dist, f_row = profile._row_arrays(qt[r], i, length, mu, sd, valid)
             j = int(np.argmin(dist))
             mp_full[i], ip_full[i] = dist[j], j
             full.harvest_row(i, f_row, qt[r], dist)
@@ -406,3 +406,161 @@ def test_block_settle_resolves_near_ties_like_full_rows():
         n_settled += s.shape[0]
         n_fallback += int((valid[rows] & ~settled).sum())
     assert n_settled > 1000 and n_fallback > 1000
+
+
+def _harvest_select_reference(f_row, p):
+    """``_harvest_select`` before its one-partition fast path."""
+    finite = np.isfinite(f_row)
+    n_finite = int(finite.sum())
+    if n_finite == 0:
+        return np.empty(0, dtype=np.int64)
+    if n_finite <= p:
+        return np.flatnonzero(finite).astype(np.int64)
+    idx = np.argpartition(f_row, p - 1)[:p]
+    f_max = f_row[idx].max()
+    strict = idx[f_row[idx] < f_max]
+    need = p - strict.shape[0]
+    at_max = np.flatnonzero(f_row == f_max)[:need]
+    sel = np.concatenate([strict, at_max])
+    sel.sort()
+    return sel.astype(np.int64)
+
+
+def test_harvest_select_fast_path_equals_reference():
+    # rows with ties at the boundary, inf cells, fewer finite cells than p,
+    # and p at or above the row length
+    rng = np.random.default_rng(21)
+    for _ in range(5000):
+        n, p = int(rng.integers(1, 30)), int(rng.integers(1, 35))
+        d = rng.integers(0, 6, n).astype(float) if rng.random() < 0.5 else rng.standard_normal(n)
+        d[rng.random(n) < rng.choice([0.0, 0.2, 0.9])] = np.inf
+        got, want = _harvest_select(d, p), _harvest_select_reference(d, p)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (d, p)
+
+
+def _recompute_by_full_rows(t, partials, i, length, m):
+    """A recomputed row the way valmod and the discord scan took it before
+    the settle path: full rows, ``harvest_row`` on them, then the m nearest."""
+    dist, f_row, qt_row = row_profile(t, i, length, want_f=True)
+    partials.harvest_row(i, f_row, qt_row, dist)
+    nbrs = _harvest_select(dist, m)
+    return nbrs, dist[nbrs]
+
+
+def _assert_recompute_bits(t, lmin, length, p, m):
+    """Recompute every live row at ``length`` through ``row_profile``'s
+    harvesting form and through full rows, from equal partial profiles
+    advanced from ``lmin``; both must leave the same bits. Returns the rows
+    the harvesting form settled and the live row count."""
+    partials, expected = (compute_matrix_profile(t, lmin, p).partials for _ in range(2))
+    for step in range(lmin + 1, length + 1):
+        partials.advance(step)
+        expected.advance(step)
+    fell_back = []
+    harvest_row = partials.harvest_row
+    partials.harvest_row = lambda i, *args: fell_back.append(i) or harvest_row(i, *args)
+    live = np.flatnonzero(t.moving_stats(length)[1] >= t.sigma_floor).tolist()
+    for i in live:
+        nbrs, dists = row_profile(t, i, length, harvest=partials, m=m)
+        want_nbrs, want_dists = _recompute_by_full_rows(t, expected, i, length, m)
+        assert np.array_equal(nbrs, want_nbrs) and np.array_equal(dists, want_dists), i
+    for name in _PARTIAL_ARRAYS:
+        assert np.array_equal(getattr(partials, name), getattr(expected, name)), name
+    return len(live) - len(fell_back), len(live)
+
+
+@pytest.mark.parametrize("name, values, lmin, length, p, m, settled", [
+    ("walk", random_walk(600, seed=2), 16, 19, 10, 3, "all"),
+    ("shelf", _shelf_walk(), 16, 18, 4, 3, None),
+    ("repeats", _exact_repeats(0), 12, 14, 10, 3, None),
+    ("spike", _spike_walk(), 16, 17, 5, 2, None),
+    ("periodic", np.sin(2 * np.pi * np.arange(900) / 50), 50, 51, 10, 3, "some"),
+    ("m equals p", random_walk(400, seed=5), 16, 18, 4, 4, None),
+    ("p at the row count", random_walk(24, seed=2), 8, 10, 100, 2, "none"),
+])
+def test_harvesting_row_profile_bits_equal_full_rows(name, values, lmin, length, p, m, settled):
+    # a recomputed row settled from its p+1 highest correlations leaves the
+    # stored entries and m nearest of its full rows; the rest fall back
+    n_settled, n_live = _assert_recompute_bits(sm.ingest(values), lmin, length, p, m)
+    if settled == "all":
+        assert n_settled == n_live
+    elif settled == "some":
+        assert 0 < n_settled < n_live
+    elif settled == "none":
+        assert n_settled == 0
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(40, 200), shelf=st.booleans(),
+       spike=st.booleans(), repeat=st.booleans(), lmin=st.integers(4, 20),
+       steps=st.integers(0, 3), p=st.integers(1, 12), m=st.integers(1, 12))
+def test_harvesting_row_profile_never_moves_a_bit(seed, n, shelf, spike, repeat, lmin, steps,
+                                                  p, m):
+    values = random_walk(n, seed=seed)
+    if shelf:
+        values[n // 4:n // 4 + 12] = values[n // 4]
+    if spike:
+        values[n // 2] += 8.0
+    if repeat:
+        values[n - 20:] = values[5:25]
+    lmin = min(lmin, n // 3)
+    _assert_recompute_bits(sm.ingest(values), lmin, lmin + steps, p, min(m, p))
+
+
+def test_row_settle_resolves_near_ties_like_full_rows():
+    # correlations in clusters of adjacent floats, exact ties, q_raw >= 1
+    # and <= 0, for every m up to p: a row the one-row settle takes must
+    # carry its full rows' bits, and the rest fall back
+    rng = np.random.default_rng(1)
+    n_settled = n_fallback = 0
+    for _ in range(300):
+        length, p, n_dp = int(rng.choice([12, 16, 20])), int(rng.integers(1, 6)), 60
+        m = int(rng.integers(1, p + 1))
+        t = sm.ingest(random_walk(n_dp + length - 1, seed=1))
+        mu, sd = np.zeros(n_dp), np.ones(n_dp)     # so q_raw is qt / length
+        valid = rng.random(n_dp) > 0.05
+        i = int(rng.integers(10, 50))
+        q = rng.uniform(-1.0, 0.2, n_dp)
+        a = rng.choice([0.3, 0.7, 0.9999, 1.0, 1.5, -0.2])
+        cols = rng.choice(n_dp, p + 3, replace=False)
+        q[cols] = a + rng.integers(-4, 5, p + 3) * np.spacing(a)
+        qt = length * q
+        full, one = (PartialProfiles(t, n_dp, p, length) for _ in range(2))
+        full.sd = one.sd = sd
+        got = profile._settle_row(one, i, qt, length, mu, sd, valid, m)
+        dist, f_row = profile._row_arrays(qt, i, length, mu, sd, valid)
+        full.harvest_row(i, f_row, qt, dist)
+        if got is None:
+            n_fallback += valid[i]
+            continue
+        nbrs = _harvest_select(dist, m)
+        assert np.array_equal(got[0], nbrs) and np.array_equal(got[1], dist[nbrs])
+        for name in _PARTIAL_ARRAYS[:-1]:
+            assert np.array_equal(getattr(one, name)[i], getattr(full, name)[i]), name
+        n_settled += 1
+    assert n_settled > 50 and n_fallback > 50
+
+
+def test_settle_path_changes_no_task_output(monkeypatch):
+    # valmod and the discord scan give the same bits and counts with every
+    # recomputed row (discord owners, valmod's hiding rows) taking full rows
+    t = sm.ingest(random_walk(500, seed=11))
+
+    def run():
+        dtrace, vtrace = sm.RunTrace(), sm.RunTrace()
+        scan = sm.topkm_discord_discovery(t, 16, 24, 3, 3, 6, trace=dtrace)
+        v = sm.valmod(t, 16, 24, 2, trace=vtrace)
+        mats = [(d.dist, d.offset) for _, d in sorted(scan.per_length.items())]
+        return mats, scan.merged, dtrace.totals(), v, vtrace.totals()
+
+    settled = run()
+    monkeypatch.setattr(profile, "_settle_row", lambda *args: None)
+    full = run()
+    for (d1, o1), (d2, o2) in zip(settled[0], full[0]):
+        assert np.array_equal(d1, d2) and np.array_equal(o1, o2)
+    for name in ("dist", "offset", "length"):
+        assert np.array_equal(getattr(settled[1], name), getattr(full[1], name))
+    for name in ("distances", "norm_distances", "lengths", "indices", "populated"):
+        assert np.array_equal(getattr(settled[3], name), getattr(full[3], name)), name
+    assert settled[2] == full[2] and settled[4] == full[4]
+    assert settled[2]["recomputed"] > 0 and settled[4]["recomputed"] > 0

@@ -47,7 +47,10 @@ def test_planted_pair_top_motif_every_length():
 
 class _StubProfiles:
     """Stands in for ``PartialProfiles``: ``step`` gives fixed stored minima
-    and thresholds, and ``harvest_row`` records the rows recomputed."""
+    and thresholds, and a recomputed row's refresh, from its full rows
+    (``harvest_row``) or from its settled cells (``_store``), records it."""
+
+    p = 1
 
     def __init__(self, min_dists, thresholds):
         self.min_dists, self.thresholds = np.array(min_dists), np.array(thresholds)
@@ -58,6 +61,9 @@ class _StubProfiles:
             self.thresholds
 
     def harvest_row(self, i, f_row, qt_row, dist):
+        self.harvested.append(i)
+
+    def _store(self, i, nbr, qt, dist, m_f):
         self.harvested.append(i)
 
 

@@ -11,7 +11,7 @@ SHA-256 line per item:
   ``random_walk(5000, 1)``, L 64-128, p=10): the ``valmod`` arrays and the
   ``RunTrace`` totals;
 * W4 (``random_walk(3000, 2)``, L 32-64, k=m=3, p=10): every matrix of
-  ``topkm_discord_discovery``.
+  ``topkm_discord_discovery`` and the ``RunTrace`` totals.
 
 Two trees that print the same lines compute the same bits. The inputs come
 from ``perfbench/workloads.py`` of this checkout, which is only imported.
@@ -72,11 +72,13 @@ def main(argv) -> int:
         print(f"{name:16s} " + _digest(*_arrays(v.distances, v.norm_distances, v.lengths,
                                                  v.indices, v.populated), trace.totals()))
 
-    scan = sm.topkm_discord_discovery(sm.ingest(random_walk(3000, 2)), 32, 64, 3, 3, 10)
+    trace = sm.RunTrace()
+    scan = sm.topkm_discord_discovery(sm.ingest(random_walk(3000, 2)), 32, 64, 3, 3, 10,
+                                      trace=trace)
     parts = _arrays(scan.merged.dist, scan.merged.offset, scan.merged.length)
     for length, dkm in sorted(scan.per_length.items()):
         parts += [str(length).encode()] + _arrays(dkm.dist, dkm.offset)
-    print(f"{'W4 discords':16s} {_digest(*parts)}")
+    print(f"{'W4 discords':16s} {_digest(*parts, trace.totals())}")
     return 0
 
 
