@@ -29,7 +29,7 @@ print(f"motif distance        : {mp[motif_owner]:.6f}")
 # Each row keeps the p=5 neighbors with the smallest extension bounds;
 # their scaled maximum certifies matches at longer window lengths.
 partials = result.partials
-stored = partials.alive[motif_owner]
+stored = np.isfinite(partials.dist[motif_owner])   # dead entries hold +inf
 print(f"\nstored neighbors of {motif_owner}: {partials.nbr[motif_owner, stored].tolist()}")
 print(f"stored distances       : {np.round(partials.dist[motif_owner, stored], 4).tolist()}")
 print(f"certification bound    : {partials.thresholds()[motif_owner]:.4f}")

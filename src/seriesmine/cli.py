@@ -200,9 +200,8 @@ def _run_motif_sets(args, series):
     ranking = PairRanking(args.top_k)
     t0 = time.perf_counter()
     valmod(series, args.lmin, args.lmax, args.p, ranking=ranking, trace=trace)
-    sets = compute_var_length_motif_sets(
-        series, ranking, args.radius_factor,
-        None if args.min_frequency is None else int(args.min_frequency))
+    sets = compute_var_length_motif_sets(series, ranking, args.radius_factor,
+                                         args.min_frequency)
     wall = time.perf_counter() - t0
     payload = {
         "disjoint": validate_disjoint(sets),

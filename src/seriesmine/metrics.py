@@ -40,8 +40,8 @@ class RunTrace:
         self.records.append(rec)
         self._by_length[length] = rec
 
-    def bump_recomputed(self, length: int, n: int = 1):
-        self._by_length[length].n_recomputed += n
+    def bump_recomputed(self, length: int):
+        self._by_length[length].n_recomputed += 1
 
     def totals(self) -> dict:
         """Sums over every length. ``recomputed`` counts the non-valid rows

@@ -20,7 +20,8 @@ recomputing full rows.
 
 A row's stored bounds all share the row's anchor std, so the bound of every
 *non-stored* pair at any longer target length stays above the scaled harvest
-maximum ``m_f * sigma_base / sigma_target``. That scaled value is the
+maximum ``m_f * sigma_base / sigma_target``. Each row keeps the product
+``m_sigma = m_f * sigma_base``, and ``m_sigma / sigma_target`` is the
 certification threshold the drivers compare true distances against.
 """
 
@@ -40,7 +41,6 @@ from .series import DataSeries, advance_dot_products, sliding_dot_product
 
 CHUNK_ROWS = 2048
 _BLOCK_CELLS = 1 << 15   # dot products per block of scan rows
-_DEAD_NBR = np.iinfo(np.int64).max   # sorts a dead entry after every live one
 
 
 @dataclass
@@ -56,10 +56,13 @@ class PartialProfiles:
     """All rows' stored neighbor entries, advanced in lockstep across lengths.
 
     Column-oriented: entry arrays have shape (rows, p), p capped at the row
-    count; ``sd`` holds the window std at the current length. A row dies when
-    its owner window leaves the series or turns constant; an entry dies when
-    its neighbor window does, or when the growing exclusion zone swallows it.
-    Capacity is never refilled outside an explicit row refresh.
+    count; ``sd`` holds the window std at the current length, and ``m_sigma``
+    each row's scaled harvest maximum. Liveness is carried by +inf: an entry
+    is live exactly when its ``dist`` is finite, and a row exactly when its
+    ``m_sigma`` is. A row dies when its owner window leaves the series or
+    turns constant; an entry dies when its neighbor window does, or when the
+    growing exclusion zone swallows it. A row's live entries hold ascending
+    neighbors. Capacity is never refilled outside an explicit row refresh.
     """
 
     def __init__(self, series: DataSeries, n_rows: int, p: int, length: int):
@@ -71,10 +74,7 @@ class PartialProfiles:
         self.nbr = np.full((n_rows, self.p), -1, dtype=np.int64)
         self.qt = np.zeros((n_rows, self.p))
         self.dist = np.full((n_rows, self.p), np.inf)
-        self.alive = np.zeros((n_rows, self.p), dtype=bool)
-        self.owner_ok = np.zeros(n_rows, dtype=bool)
-        self.sigma_base = np.zeros(n_rows)
-        self.m_f = np.full(n_rows, np.inf)
+        self.m_sigma = np.full(n_rows, np.inf)
         self._owners = np.arange(n_rows, dtype=np.int64)[:, None]
 
     def harvest_row(self, i: int, f_row: np.ndarray, qt_row: np.ndarray, dist: np.ndarray):
@@ -94,35 +94,30 @@ class PartialProfiles:
         self.qt[rows, :k] = qt
         self.dist[rows, :k] = dist
         self.dist[rows, k:] = np.inf
-        self.alive[rows, :k] = True
-        self.alive[rows, k:] = False
-        self.owner_ok[rows] = True
-        self.sigma_base[rows] = self.sd[rows]
-        self.m_f[rows] = m_f
+        self.m_sigma[rows] = m_f * self.sd[rows]
 
-    def advance(self, new_length: int):
+    def advance(self, length: int):
         """Grow every live entry by one length step in O(1) each; a no-op at
         the current length.
 
-        Extends dot products, refreshes true distances at ``new_length``, and
+        Extends dot products, refreshes true distances at ``length``, and
         drops entries/rows that stop existing, turn constant, or become
         trivial matches under the wider exclusion zone.
         """
-        if new_length == self.length:
+        if length == self.length:
             return
-        if new_length != self.length + 1:
+        if length != self.length + 1:
             raise InvalidParametersError("profiles advance one length step at a time")
         t = self.series.values
         n = self.series.n
-        mu, sd = self.series.moving_stats(new_length)
-        n_dp = n - new_length + 1
-        length = new_length
+        mu, sd = self.series.moving_stats(length)
+        n_dp = n - length + 1
 
-        self.owner_ok[n_dp:] = False
-        self.owner_ok[:n_dp] &= sd >= self.series.sigma_floor
+        self.m_sigma[n_dp:] = np.inf
+        self.m_sigma[:n_dp][sd < self.series.sigma_floor] = np.inf
         excl = policy.exclusion_zone(length)
-        valid = (self.alive
-                 & self.owner_ok[:, None]
+        valid = (np.isfinite(self.dist)
+                 & np.isfinite(self.m_sigma)[:, None]
                  & (self.nbr <= n - length)
                  & (np.abs(self.nbr - self._owners) >= excl))
         safe_nbr = np.where(valid, self.nbr, 0)
@@ -135,24 +130,22 @@ class PartialProfiles:
         _, dist = _z_dist(self.qt, length, mu[own], sd[own],
                           mu[safe_nbr], np.where(valid, nbr_sd, 1.0))
         self.dist = np.where(valid, dist, np.inf)
-        self.alive = valid
         self.length = length
         self.sd = sd
 
     def thresholds(self) -> np.ndarray:
         """Certification threshold per row at the current length.
 
-        Scaled harvest maximum: below it, no pair outside the stored entries
-        can land. 0 for a non-constant row with no stored data (it certifies
-        nothing); +inf for dead rows (callers skip them).
+        Scaled harvest maximum ``m_sigma / sd``: below it, no pair outside
+        the stored entries can land. 0 for a non-constant row with no stored
+        data (it certifies nothing); +inf for dead rows (callers skip them).
+        Only live rows divide, and their std is at or above the floor.
         """
-        sd = self.sd
-        n_dp = sd.shape[0]
+        n_dp = self.sd.shape[0]
         out = np.full(self.n_rows, np.inf)
-        out[:n_dp][sd >= self.series.sigma_floor] = 0.0
-        live = self.owner_ok[:n_dp]
-        with np.errstate(invalid="ignore"):
-            out[:n_dp][live] = self.m_f[:n_dp][live] * self.sigma_base[:n_dp][live] / sd[live]
+        out[:n_dp][self.sd >= self.series.sigma_floor] = 0.0
+        live = np.isfinite(self.m_sigma[:n_dp])
+        out[:n_dp][live] = self.m_sigma[:n_dp][live] / self.sd[live]
         return out
 
     def sorted_row_matches(self, m: int, n_rows: int):
@@ -160,17 +153,17 @@ class PartialProfiles:
 
         Returns (distances, neighbor offsets), both (n_rows, m): distances
         ascending per row, the smaller neighbor first on ties, padded with
-        +inf and -1 where a row holds fewer than m live entries.
+        +inf and -1 where a row holds fewer than m live entries. Live columns
+        hold ascending neighbors and dead ones +inf, so a stable sort of the
+        distances is that order.
         """
-        width = max(m, self.p)
-        dist = np.full((n_rows, width), np.inf)
-        nbr = np.full((n_rows, width), _DEAD_NBR)
-        np.copyto(dist[:, :self.p], self.dist[:n_rows], where=self.alive[:n_rows])
-        np.copyto(nbr[:, :self.p], self.nbr[:n_rows], where=self.alive[:n_rows])
-        order = np.lexsort((nbr, dist))[:, :m]
-        dists = np.take_along_axis(dist, order, axis=1)
-        nbrs = np.take_along_axis(nbr, order, axis=1)
-        nbrs[nbrs == _DEAD_NBR] = -1
+        dists = np.full((n_rows, m), np.inf)
+        nbrs = np.full((n_rows, m), -1, dtype=np.int64)
+        order = np.argsort(self.dist[:n_rows], axis=1, kind="stable")[:, :m]
+        k = order.shape[1]
+        dists[:, :k] = np.take_along_axis(self.dist[:n_rows], order, axis=1)
+        np.copyto(nbrs[:, :k], np.take_along_axis(self.nbr[:n_rows], order, axis=1),
+                  where=np.isfinite(dists[:, :k]))
         return dists, nbrs
 
     def step(self, length: int, m: int):
@@ -195,23 +188,13 @@ class ProfileResult:
 
 def _harvest_select(f_row: np.ndarray, p: int):
     """Ascending indices of the p smallest finite values (bound factors or
-    distances); boundary ties go to smaller offsets."""
+    distances); boundary ties go to smaller offsets, by a stable sort."""
     if p < f_row.shape[0]:
         idx = np.argpartition(f_row, (p - 1, p))
         if f_row[idx[p - 1]] < f_row[idx[p]]:    # no tie at the boundary
             return np.sort(idx[:p])
-    finite = np.isfinite(f_row)
-    n_finite = int(finite.sum())
-    if n_finite <= p:
-        return np.flatnonzero(finite).astype(np.int64)
-    idx = np.argpartition(f_row, p - 1)[:p]
-    f_max = f_row[idx].max()
-    strict = idx[f_row[idx] < f_max]
-    need = p - strict.shape[0]
-    at_max = np.flatnonzero(f_row == f_max)[:need]
-    sel = np.concatenate([strict, at_max])
-    sel.sort()
-    return sel.astype(np.int64)
+    sel = np.argsort(f_row, kind="stable")[:p]
+    return np.sort(sel[np.isfinite(f_row[sel])])
 
 
 def _z_dist(qt, length: int, mu_a, sd_a, mu_b, sd_b):

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def random_walk(n: int, seed: int = 0, scale: float = 1.0) -> np.ndarray:
+def random_walk(n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return np.cumsum(rng.standard_normal(n)) * scale
+    return np.cumsum(rng.standard_normal(n))
 
 
 def smooth_walk(n: int, seed: int = 0, window: int = 8) -> np.ndarray:
@@ -28,7 +28,7 @@ def planted_pair_series(n: int, pattern_length: int, offsets=(100, 400),
     the planted offsets win without ties.
     """
     rng = np.random.default_rng(seed * 7919 + 1)
-    t = random_walk(n, seed=seed, scale=1.0)
+    t = random_walk(n, seed=seed)
     pattern = np.cumsum(rng.standard_normal(pattern_length))
     pattern = (pattern - pattern.mean()) / (pattern.std() + 1e-12)
     ramp = np.linspace(0.1, 3.0, pattern_length)
@@ -43,7 +43,7 @@ def planted_cluster_series(n: int, pattern_length: int, offsets,
                            jitter: float = 0.02, seed: int = 0) -> np.ndarray:
     """Random-walk background with several jittered copies of one pattern."""
     rng = np.random.default_rng(seed * 7919 + 1)
-    t = random_walk(n, seed=seed, scale=1.0)
+    t = random_walk(n, seed=seed)
     pattern = np.cumsum(rng.standard_normal(pattern_length))
     pattern = (pattern - pattern.mean()) / (pattern.std() + 1e-12)
     for off in offsets:

@@ -13,7 +13,8 @@ import pytest
 
 import seriesmine as sm
 from seriesmine.oracle import naive_distance_matrix
-from seriesmine.profile import _z_dist, compute_matrix_profile, row_profile
+from seriesmine.profile import (_correlation, _q_bound, _z_dist, compute_matrix_profile,
+                                row_profile)
 
 
 def _naive_znorm(a, b):
@@ -111,9 +112,15 @@ def test_scale_bound_unchanged_for_equal_sigmas():
     t = sm.ingest(np.cumsum(rng.standard_normal(300)))
     partials = compute_matrix_profile(t, 24, 5).partials
     thr = partials.thresholds()
-    live = partials.owner_ok
+    live = np.isfinite(partials.m_sigma)
     assert live.any()
-    assert np.allclose(thr[live], partials.m_f[live], rtol=1e-14, atol=0.0)
+    # the harvest maximum: the largest bound factor of the stored entries,
+    # from their stored dot products
+    mu, sd = t.moving_stats(24)
+    nbr = partials.nbr
+    f = _q_bound(_correlation(partials.qt, 24, mu[:, None], sd[:, None], mu[nbr], sd[nbr]), 24)
+    m_f = np.where(np.isfinite(partials.dist), f, -np.inf).max(axis=1)
+    assert np.allclose(thr[live], m_f[live], rtol=1e-14, atol=0.0)
 
 
 def test_scale_bound_twice_equals_direct():
@@ -122,13 +129,13 @@ def test_scale_bound_twice_equals_direct():
     t = sm.ingest(np.cumsum(rng.standard_normal(300)))
     length = 24
     partials = compute_matrix_profile(t, length, 5).partials
-    m_f = partials.m_f.copy()
+    m_f = partials.m_sigma / partials.sd     # the harvest maximum at the scan length
     for new_length in range(length + 1, length + 4):
         partials.advance(new_length)
     thr = partials.thresholds()
     sd_l = t.moving_stats(length)[1]
     sd_t = t.moving_stats(length + 3)[1]
-    live = np.flatnonzero(partials.owner_ok)
+    live = np.flatnonzero(np.isfinite(partials.m_sigma))
     assert live.size
     assert np.allclose(thr[live], m_f[live] * sd_l[live] / sd_t[live], rtol=1e-12, atol=0.0)
 
@@ -142,7 +149,7 @@ def test_scale_bound_preserves_order():
     partials = compute_matrix_profile(t, length, p).partials
     for i in range(0, t.n - 2 * length, 17):
         _, f_row, _ = row_profile(t, i, length, want_f=True)
-        stored = partials.nbr[i][partials.alive[i]]
+        stored = partials.nbr[i][np.isfinite(partials.dist[i])]
         others = np.setdiff1d(np.flatnonzero(np.isfinite(f_row)), stored)
         for k in (1, 5, 16):
             scaled = _scaled_bound(f_row, t, i, length, k)
@@ -160,7 +167,7 @@ def test_update_dist_and_lb_planted_identical_pair():
     slot = int(np.flatnonzero(partials.nbr[10] == 120)[0])
     for new_length in range(17, 41):
         partials.advance(new_length)
-        assert partials.alive[10, slot]
+        assert np.isfinite(partials.dist[10, slot])
         assert partials.dist[10, slot] == pytest.approx(0.0, abs=1e-6)
 
 
@@ -171,8 +178,8 @@ def test_update_dist_and_lb_matches_scratch():
     for new_length in range(17, 33):
         partials.advance(new_length)
         for i in range(0, t.n - new_length + 1, 37):
-            for j, d in zip(partials.nbr[i][partials.alive[i]],
-                            partials.dist[i][partials.alive[i]]):
+            live = np.isfinite(partials.dist[i])
+            for j, d in zip(partials.nbr[i][live], partials.dist[i][live]):
                 expected = _naive_znorm(t.window(i, new_length), t.window(int(j), new_length))
                 assert d == pytest.approx(expected, abs=1e-7)
 
@@ -183,10 +190,10 @@ def test_update_dist_and_lb_out_of_range():
     t = sm.ingest(rng.standard_normal(100))
     partials = compute_matrix_profile(t, 19, t.n).partials
     last = t.n - 19          # the last neighbor offset that exists at length 19
-    assert partials.alive[0, partials.nbr[0] == last].tolist() == [True]
+    assert np.isfinite(partials.dist[0, partials.nbr[0] == last]).tolist() == [True]
     partials.advance(20)
-    assert not (partials.alive & (partials.nbr >= last)).any()
-    assert not partials.owner_ok[last:].any()
+    assert not (np.isfinite(partials.dist) & (partials.nbr >= last)).any()
+    assert not np.isfinite(partials.m_sigma[last:]).any()
 
 
 def test_thresholds_bound_unstored_pairs_after_advance():
@@ -200,9 +207,9 @@ def test_thresholds_bound_unstored_pairs_after_advance():
         partials.advance(new_length)
         truth = naive_distance_matrix(t, new_length)
         thr = partials.thresholds()
-        for i in np.flatnonzero(partials.owner_ok):
+        for i in np.flatnonzero(np.isfinite(partials.m_sigma)):
             unstored = np.ones(truth.shape[1], dtype=bool)
-            unstored[partials.nbr[i][partials.alive[i]]] = False
+            unstored[partials.nbr[i][np.isfinite(partials.dist[i])]] = False
             row = truth[i][unstored]
             assert np.all(row[np.isfinite(row)] >= thr[i] - 1e-9), (new_length, i)
 
@@ -216,9 +223,9 @@ def test_thresholds_of_resurrected_and_constant_rows():
     values[120:140] = values[120]
     t = sm.ingest(values)
     partials = compute_matrix_profile(t, 12, 4).partials
-    stored = [a.copy() for a in (partials.nbr, partials.qt, partials.dist, partials.alive)]
+    stored = [a.copy() for a in (partials.nbr, partials.qt, partials.dist, partials.m_sigma)]
     partials.advance(partials.length)      # no-op at the current length
-    for before, after in zip(stored, (partials.nbr, partials.qt, partials.dist, partials.alive)):
+    for before, after in zip(stored, (partials.nbr, partials.qt, partials.dist, partials.m_sigma)):
         assert np.array_equal(before, after)
     # step's thresholds mark exactly the constant rows dead, at the scan
     # length (no advance) and after each advance
@@ -228,8 +235,8 @@ def test_thresholds_of_resurrected_and_constant_rows():
         assert np.array_equal(np.isfinite(thr), sd >= t.sigma_floor), length
         if length == 13:
             thr = partials.thresholds()
-            assert not partials.owner_ok[50] and thr[50] == 0.0
-            assert not partials.owner_ok[120] and thr[120] == np.inf
+            assert not np.isfinite(partials.m_sigma[50]) and thr[50] == 0.0
+            assert not np.isfinite(partials.m_sigma[120]) and thr[120] == np.inf
             assert np.all(thr[t.n - 13 + 1:] == np.inf)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seriesmine as sm
-from seriesmine import profile
+from seriesmine import policy, profile
 from seriesmine.exceptions import (AllConstantError, InvalidParametersError,
                                    SeriesTooShortError)
 from seriesmine.oracle import naive_distance_matrix, naive_profile
@@ -44,10 +44,10 @@ def test_degenerate_capacity_stores_whole_row():
     n_dp = t.n - length + 1
     excl = 8
     for i in (0, 57, n_dp - 1):
-        stored = res.partials.alive[i].sum()
+        live = np.isfinite(res.partials.dist[i])
         candidates = sum(1 for j in range(n_dp) if abs(j - i) >= excl)
-        assert stored == candidates
-        row_min = res.partials.dist[i][res.partials.alive[i]].min()
+        assert live.sum() == candidates
+        row_min = res.partials.dist[i][live].min()
         assert row_min == res.profile.mp[i]
 
 
@@ -80,10 +80,10 @@ def test_harvest_keeps_smallest_bounds():
     res = compute_matrix_profile(t, length, p)
     from seriesmine.profile import row_profile
     for i in range(0, t.n - length + 1, 23):
-        if not res.partials.owner_ok[i]:
+        if not np.isfinite(res.partials.m_sigma[i]):
             continue
         _, f_row, _ = row_profile(t, i, length, want_f=True)
-        sel = res.partials.alive[i]
+        sel = np.isfinite(res.partials.dist[i])
         stored = set(res.partials.nbr[i][sel].tolist())
         stored_max = max(f_row[j] for j in stored)
         for j in np.flatnonzero(np.isfinite(f_row)):
@@ -182,7 +182,7 @@ def test_chunk_seams_match_fresh_rows():
         j = int(np.argmin(dist))
         assert np.allclose(res.profile.mp[i], dist[j], rtol=1e-9, atol=1e-9)
         assert res.profile.ip[i] == j
-        stored = res.partials.alive[i]
+        stored = np.isfinite(res.partials.dist[i])
         assert np.allclose(res.partials.qt[i][stored],
                            qt_row[res.partials.nbr[i][stored]], rtol=1e-9, atol=1e-9)
 
@@ -219,31 +219,6 @@ def test_planted_pair_certified_across_lengths():
     assert res.profile.ip[400] == 100
 
 
-def test_sorted_row_matches_equals_per_row_lexsort():
-    t = sm.ingest(random_walk(400, seed=9))
-    pp = compute_matrix_profile(t, 16, 6).partials
-    for length in range(17, 21):
-        pp.advance(length)
-    n_rows = t.n - 20 + 1
-    rng = np.random.default_rng(9)
-    rows = rng.choice(n_rows, 80, replace=False)
-    both = pp.alive[rows, 1] & pp.alive[rows, 3]
-    pp.dist[rows, 3] = pp.dist[rows, 1]           # ties between two neighbors
-    pp.alive[rows[:30], 0] = False                # dead entries with stale finite values
-    assert both.sum() > 20 and np.isfinite(pp.dist[rows[:30], 0]).all()
-    m = 4
-    dists, nbrs = pp.sorted_row_matches(m, n_rows)
-    assert dists.shape == nbrs.shape == (n_rows, m)
-    for i in range(n_rows):
-        sel = pp.alive[i]
-        d, nb = pp.dist[i][sel], pp.nbr[i][sel]
-        order = np.lexsort((nb, d))[:m]
-        take = order.shape[0]
-        assert np.array_equal(dists[i, :take], d[order]), i
-        assert np.array_equal(nbrs[i, :take], nb[order]), i
-        assert np.all(dists[i, take:] == np.inf) and np.all(nbrs[i, take:] == -1)
-
-
 def _row_by_row_scan(t, length, p):
     """The scan as full rows: the dot-product recursion (FFT-seeded per
     chunk), then ``_row_arrays`` + ``harvest_row`` on every live row."""
@@ -267,7 +242,7 @@ def _row_by_row_scan(t, length, p):
     return mp, ip, partials
 
 
-_PARTIAL_ARRAYS = ("nbr", "qt", "dist", "alive", "owner_ok", "sigma_base", "m_f", "sd")
+_PARTIAL_ARRAYS = ("nbr", "qt", "dist", "m_sigma", "sd")
 
 
 def _assert_same_bits(res, mp, ip, partials):
@@ -296,6 +271,88 @@ def _spike_walk():
     v = random_walk(500, seed=3)
     v[250] += 30.0
     return v
+
+
+def _fading_step():
+    """A shelf with one step just above the constant-window floor: the
+    windows over it turn constant as they grow."""
+    v = random_walk(200, seed=4)
+    v[100:160] = v[100]
+    v[120] += 3.5 * sm.ingest(v).sigma_floor
+    return v
+
+
+def _advanced_partials(values, lmin, lmax, p):
+    """Partial profiles scanned at ``lmin`` and advanced to ``lmax``; at
+    every longer length, every fifth live row is recomputed through
+    ``row_profile``'s harvesting form."""
+    t = sm.ingest(values)
+    pp = compute_matrix_profile(t, lmin, p).partials
+    for length in range(lmin + 1, lmax + 1):
+        pp.advance(length)
+        live = np.flatnonzero(t.moving_stats(length)[1] >= t.sigma_floor)
+        for i in live[::5].tolist():
+            row_profile(t, i, length, harvest=pp, m=3)
+    return t, pp
+
+
+def _assert_liveness_invariants(t, pp):
+    """+inf carries liveness: live entries hold ascending neighbors that can
+    still match, dead ones hold +inf, and only rows with a live owner hold a
+    finite ``m_sigma``."""
+    n_dp, floor = pp.sd.shape[0], t.sigma_floor
+    live = np.isfinite(pp.dist)
+    assert np.all(live | (pp.dist == np.inf))
+    for i in range(pp.n_rows):
+        assert np.all(np.diff(pp.nbr[i][live[i]]) > 0), i
+    owner_live = np.zeros(pp.n_rows, dtype=bool)
+    owner_live[:n_dp] = pp.sd >= floor
+    assert not (np.isfinite(pp.m_sigma) & ~owner_live).any()
+    in_range = (pp.nbr >= 0) & (pp.nbr < n_dp)
+    can_match = (in_range & (pp.sd[np.where(in_range, pp.nbr, 0)] >= floor)
+                 & (np.abs(pp.nbr - np.arange(pp.n_rows)[:, None])
+                    >= policy.exclusion_zone(pp.length)))
+    assert not (live & ~(can_match & np.isfinite(pp.m_sigma)[:, None])).any()
+
+
+_PARTIAL_STATES = [          # (series, scan length, final length, p)
+    (random_walk(400, seed=9), 16, 20, 6),
+    (_shelf_walk(), 16, 20, 6),
+    (_exact_repeats(0), 12, 15, 10),
+    (_spike_walk(), 16, 18, 5),
+    (_fading_step(), 8, 14, 5),                 # owners turning constant
+    (random_walk(60, seed=3), 8, 14, 60),      # rows dying at the series end
+]
+
+
+def test_sorted_row_matches_equals_per_row_lexsort():
+    # states reached by scans, advances and harvesting recomputes (walk,
+    # shelf, exact repeats, spike, owners turning constant, rows dying at
+    # the series end) keep the invariants the stable sort relies on, also
+    # with ties between two live neighbors and entries killed with +inf; the
+    # m best then equal a per-row (distance, neighbor) lexsort
+    for values, lmin, lmax, p in _PARTIAL_STATES:
+        t, pp = _advanced_partials(values, lmin, lmax, p)
+        _assert_liveness_invariants(t, pp)
+        n_rows = pp.sd.shape[0]
+        assert n_rows < pp.n_rows and (~np.isfinite(pp.dist[:n_rows])).any()
+        rows = np.random.default_rng(9).choice(n_rows, min(80, n_rows), replace=False)
+        both = np.isfinite(pp.dist[rows, 1]) & np.isfinite(pp.dist[rows, 3])
+        pp.dist[rows[both], 3] = pp.dist[rows[both], 1]   # ties between two live neighbors
+        pp.dist[rows[:10], 0] = np.inf                      # dead entries
+        assert both.sum() > 10
+        _assert_liveness_invariants(t, pp)
+        for m in (1, 4, pp.p + 2):
+            dists, nbrs = pp.sorted_row_matches(m, n_rows)
+            assert dists.shape == nbrs.shape == (n_rows, m)
+            for i in range(n_rows):
+                sel = np.isfinite(pp.dist[i])
+                d, nb = pp.dist[i][sel], pp.nbr[i][sel]
+                order = np.lexsort((nb, d))[:m]
+                take = order.shape[0]
+                assert np.array_equal(dists[i, :take], d[order]), (lmin, m, i)
+                assert np.array_equal(nbrs[i, :take], nb[order]), (lmin, m, i)
+                assert np.all(dists[i, take:] == np.inf) and np.all(nbrs[i, take:] == -1)
 
 
 @pytest.mark.parametrize("name, values, length, p, fallback", [

@@ -234,7 +234,7 @@ def test_extend_dot_product():
     qt_row[5] = 13.0                    # 1*2+2*4+3*0+1*3
     partials.harvest_row(0, f_row, qt_row, np.zeros(7))
     partials.advance(5)
-    assert partials.alive[0, 0]
+    assert np.isfinite(partials.dist[0, 0])
     assert partials.qt[0, 0] == 13.0 + 5.0 * 7.0
 
 
@@ -245,8 +245,8 @@ def test_extend_matches_scratch():
     for new_length in range(21, 31):
         partials.advance(new_length)
         for i in range(0, t.n - new_length + 1, 13):
-            for j, qt in zip(partials.nbr[i][partials.alive[i]],
-                             partials.qt[i][partials.alive[i]]):
+            live = np.isfinite(partials.dist[i])
+            for j, qt in zip(partials.nbr[i][live], partials.qt[i][live]):
                 scratch = float(np.dot(t.window(i, new_length),
                                        t.window(int(j), new_length)))
                 assert qt == pytest.approx(scratch, rel=1e-9, abs=1e-9)
@@ -257,9 +257,10 @@ def test_extend_out_of_range():
     rng = np.random.default_rng(12)
     t = sm.ingest(rng.standard_normal(20))
     partials = compute_matrix_profile(t, 8, 3).partials
-    assert partials.owner_ok[12] and partials.alive[12].any()   # 12 + 8 = n
+    # 12 + 8 = n
+    assert np.isfinite(partials.m_sigma[12]) and np.isfinite(partials.dist[12]).any()
     partials.advance(9)
-    assert not partials.owner_ok[12] and not partials.alive[12].any()
+    assert not np.isfinite(partials.m_sigma[12]) and not np.isfinite(partials.dist[12]).any()
 
 
 def _naive_znorm(a, b):
