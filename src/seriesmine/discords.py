@@ -39,7 +39,6 @@ from . import policy
 from .exceptions import InvalidParametersError
 from .profile import PartialProfiles, compute_matrix_profile, row_profile
 from .series import DataSeries, pair_distance
-from .valmod import validate_range
 
 
 @dataclass
@@ -103,8 +102,7 @@ def validate_counts(k: int, m: int):
         raise InvalidParametersError("k and m must be at least 1")
 
 
-def update_fixed_length_discords(dkm: DiscordMatrix, best_dists: np.ndarray,
-                                 off: int, k: int, m: int) -> bool:
+def update_fixed_length_discords(dkm: DiscordMatrix, best_dists: np.ndarray, off: int) -> bool:
     """Try to place one owner into the matrix.
 
     ``best_dists`` holds the owner's match distances ascending (index j-1 =
@@ -113,6 +111,7 @@ def update_fixed_length_discords(dkm: DiscordMatrix, best_dists: np.ndarray,
     bottom one drops out) and the scan stops — each owner lands in at most
     one cell.
     """
+    k, m = dkm.dist.shape
     for j in range(m, 0, -1):
         d_j = best_dists[j - 1]
         col = j - 1
@@ -185,7 +184,7 @@ def topkm_next_length(series: DataSeries, list_dp: PartialProfiles, new_length: 
         # computation, or round-off would decide the strict rank comparisons
         canonical = sorted(pair_distance(series, i, j, new_length) for j in nbrs)
         if any(d > b for d, b in zip(canonical, bottom)):
-            update_fixed_length_discords(dkm, canonical, i, k, m)
+            update_fixed_length_discords(dkm, canonical, i)
             bottom = dkm.dist[k - 1].tolist()
     return dkm, dict(n_valid=n_valid, n_nonvalid=n_nonvalid, n_recomputed=n_recomputed)
 
@@ -209,7 +208,7 @@ def topkm_discord_discovery(series: DataSeries, lmin: int, lmax: int,
     validate_counts(k, m)
     if p < m:
         raise InvalidParametersError(f"p ({p}) must be at least m ({m})")
-    validate_range(series, lmin, lmax)
+    policy.validate_range(series, lmin, lmax)
 
     list_dp = compute_matrix_profile(series, lmin, p).partials
     merged = VariableLengthDiscordMatrix.empty(k, m)

@@ -91,11 +91,11 @@ class PairRanking:
         return True
 
 
-def update_valmp_for_motif_sets(valmp: VALMP, mp_values, ip, n_dp: int, length: int,
+def update_valmp_for_motif_sets(valmp: VALMP, mp_values, ip, length: int,
                                 ranking: PairRanking) -> VALMP:
     """The ranking-aware profile fold: :func:`~seriesmine.valmod.update_valmp`
     that also offers every improving pair to the bounded ranking."""
-    update_valmp(valmp, mp_values, ip, n_dp, length, ranking)
+    update_valmp(valmp, mp_values, ip, length, ranking)
     return valmp
 
 
@@ -118,8 +118,7 @@ class MotifSet:
 
 def _range_members(series, owner, length, r):
     """Offsets within distance r of the owner, from one full distance row."""
-    dist, _, _ = row_profile(series, owner, length)
-    return np.flatnonzero(dist < r)
+    return np.flatnonzero(row_profile(series, owner, length) < r)
 
 
 def validate_radius_factor(radius_factor: float):

@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import policy
 from .series import DataSeries
-from .valmod import validate_range
 
 
 def naive_distance_matrix(series: DataSeries, length: int) -> np.ndarray:
@@ -78,7 +77,7 @@ def brute_force_motifs(series: DataSeries, lmin: int, lmax: int,
     the same strictly-improving, shortest-length-wins update rule as the
     engine, processing lengths in ascending order.
     """
-    validate_range(series, lmin, lmax)
+    policy.validate_range(series, lmin, lmax)
     n_min = series.n - lmin + 1
     norm = np.full(n_min, np.inf)
     dist = np.full(n_min, np.inf)
@@ -133,7 +132,7 @@ def brute_force_discords(series: DataSeries, lmin: int, lmax: int, k: int, m: in
         update_fixed_length_discords, update_variable_length_discords, validate_counts
 
     validate_counts(k, m)
-    validate_range(series, lmin, lmax)
+    policy.validate_range(series, lmin, lmax)
     merged = VariableLengthDiscordMatrix.empty(k, m)
     per_length = {}
     for length in range(lmin, lmax + 1):
@@ -145,7 +144,7 @@ def brute_force_discords(series: DataSeries, lmin: int, lmax: int, k: int, m: in
             best = sorted_match_distances(dists[off], m)
             if not np.isfinite(best[m - 1]):
                 continue
-            update_fixed_length_discords(dkm, best, off, k, m)
+            update_fixed_length_discords(dkm, best, off)
         per_length[length] = dkm
         update_variable_length_discords(dkm, merged)
     return per_length, merged

@@ -1,4 +1,4 @@
-"""Shared matching policy: overlap exclusion, constant-window detection, tie-breaks.
+"""Shared matching policy: hostable lengths, overlap exclusion, constant windows, tie-breaks.
 
 Both the engine and the brute-force reference implementations import these
 definitions, so equality checks between the two compare like with like.
@@ -11,12 +11,28 @@ lexicographic.
 
 import numpy as np
 
+from .exceptions import InvalidParametersError, SeriesTooShortError
+
 SIGMA_FLOOR_SCALE = 1e-7
 
 
 def exclusion_zone(length: int) -> int:
     """Half-width of the trivial-match zone: ceil(length / 2)."""
     return -(-length // 2)
+
+
+def validate_range(series, lmin: int, lmax: int):
+    """Reject a length range the series cannot host: lengths start at 4, and
+    the longest needs a non-trivial pair, length + exclusion_zone(length) <= n."""
+    if lmin > lmax:
+        raise InvalidParametersError(f"lmin {lmin} > lmax {lmax}")
+    if lmin < 4:
+        raise InvalidParametersError("minimum window length is 4")
+    need = lmax + exclusion_zone(lmax)
+    if series.n < need:
+        raise SeriesTooShortError(
+            f"series of {series.n} points cannot host a non-trivial pair at "
+            f"length {lmax} (needs {need})")
 
 
 def sigma_floor(values) -> float:
@@ -28,7 +44,5 @@ def sigma_floor(values) -> float:
     cannot distinguish from constant is treated as constant by every kernel.
     Constant windows are excluded from motif and discord candidacy.
     """
-    if len(values) == 0:
-        return SIGMA_FLOOR_SCALE
     rms = float(np.sqrt(np.mean(np.square(values))))
     return SIGMA_FLOOR_SCALE * (rms if rms > 0.0 else 1.0)

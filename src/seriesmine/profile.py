@@ -9,9 +9,10 @@ stay, because they define the output bits.
 Rows are settled a block at a time in correlation space: one 2-D pass
 gives a block's correlations ``q_raw``, and only each row's p+1 highest
 become distances and bound factors (``_settle_block``). A row whose ties
-reach past them falls back to its full rows, on the dot products in hand.
-The block size changes no output bit. A single recomputed row takes the
-same test (``_settles``) through ``row_profile``'s harvesting form.
+reach past them falls back to its full rows (``_row_arrays``) on the dot
+products in hand. The block size changes no output bit. ``row_profile``
+rebuilds one row from scratch: its full form returns the distance row, and
+its harvesting form takes the same test (``_settles``) as a block.
 
 While each row is in hand, the scan keeps, per row, the ``p`` entries with
 the smallest extension lower bound. Those partial profiles are what the
@@ -32,11 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy
-from .exceptions import (
-    AllConstantError,
-    InvalidParametersError,
-    SeriesTooShortError,
-)
+from .exceptions import AllConstantError, InvalidParametersError
 from .series import DataSeries, advance_dot_products, sliding_dot_product
 
 CHUNK_ROWS = 2048
@@ -65,9 +62,9 @@ class PartialProfiles:
     neighbors. Capacity is never refilled outside an explicit row refresh.
     """
 
-    def __init__(self, series: DataSeries, n_rows: int, p: int, length: int):
+    def __init__(self, series: DataSeries, p: int, length: int):
         self.series = series
-        self.n_rows = n_rows
+        self.n_rows = n_rows = series.n - length + 1
         self.p = min(p, n_rows)    # no row has more neighbors than there are rows
         self.length = length
         self.sd = series.moving_stats(length)[1]
@@ -76,14 +73,6 @@ class PartialProfiles:
         self.dist = np.full((n_rows, self.p), np.inf)
         self.m_sigma = np.full(n_rows, np.inf)
         self._owners = np.arange(n_rows, dtype=np.int64)[:, None]
-
-    def harvest_row(self, i: int, f_row: np.ndarray, qt_row: np.ndarray, dist: np.ndarray):
-        """Refresh row i from its full bound-factor, dot-product and distance
-        rows at the current length: store the ``p`` entries with the smallest
-        bound factors. A row with no finite factor keeps its old entries."""
-        sel = _harvest_select(f_row, self.p)
-        if sel.shape[0]:
-            self._store(i, sel, qt_row[sel], dist[sel], f_row[sel].max())
 
     def _store(self, rows, nbr, qt, dist, m_f):
         """Make ``rows`` (an index or an index array) hold the given entries,
@@ -127,9 +116,9 @@ class PartialProfiles:
         nbr_sd = sd[safe_nbr]
         valid &= nbr_sd >= self.series.sigma_floor
         own = np.clip(self._owners, 0, n_dp - 1)
-        _, dist = _z_dist(self.qt, length, mu[own], sd[own],
-                          mu[safe_nbr], np.where(valid, nbr_sd, 1.0))
-        self.dist = np.where(valid, dist, np.inf)
+        q_raw = _correlation(self.qt, length, mu[own], sd[own],
+                             mu[safe_nbr], np.where(valid, nbr_sd, 1.0))
+        self.dist = np.where(valid, _q_dist(q_raw, length), np.inf)
         self.length = length
         self.sd = sd
 
@@ -148,15 +137,15 @@ class PartialProfiles:
         out[:n_dp][live] = self.m_sigma[:n_dp][live] / self.sd[live]
         return out
 
-    def sorted_row_matches(self, m: int, n_rows: int):
-        """The m best stored matches of each of the first ``n_rows`` rows.
-
-        Returns (distances, neighbor offsets), both (n_rows, m): distances
+    def sorted_row_matches(self, m: int):
+        """The m best stored matches of each row that exists at the current
+        length. Returns (distances, neighbor offsets), both (rows, m): distances
         ascending per row, the smaller neighbor first on ties, padded with
         +inf and -1 where a row holds fewer than m live entries. Live columns
         hold ascending neighbors and dead ones +inf, so a stable sort of the
         distances is that order.
         """
+        n_rows = self.sd.shape[0]
         dists = np.full((n_rows, m), np.inf)
         nbrs = np.full((n_rows, m), -1, dtype=np.int64)
         order = np.argsort(self.dist[:n_rows], axis=1, kind="stable")[:, :m]
@@ -175,9 +164,8 @@ class PartialProfiles:
         certification threshold, +inf for a dead (constant) row.
         """
         self.advance(length)
-        n_dp = self.sd.shape[0]
-        dists, nbrs = self.sorted_row_matches(m, n_dp)
-        return dists, nbrs, self.thresholds()[:n_dp]
+        dists, nbrs = self.sorted_row_matches(m)
+        return dists, nbrs, self.thresholds()[:dists.shape[0]]
 
 
 @dataclass
@@ -197,19 +185,10 @@ def _harvest_select(f_row: np.ndarray, p: int):
     return np.sort(sel[np.isfinite(f_row[sel])])
 
 
-def _z_dist(qt, length: int, mu_a, sd_a, mu_b, sd_b):
-    """Correlation ``q_raw`` and z-normalized distance from dot products.
-
-    ``qt`` is an array; the stats broadcast against it. Cells with a zero
-    std come out meaningless, and callers mask them.
-    """
-    q_raw = _correlation(qt, length, mu_a, sd_a, mu_b, sd_b)
-    return q_raw, _q_dist(q_raw, length)
-
-
 def _correlation(qt, length: int, mu_a, sd_a, mu_b, sd_b, out=None):
     """``q_raw = (qt - L*mu_a*mu_b) / (L*sd_a*sd_b)``, the stats broadcast
-    against ``qt``; written to ``out`` when given."""
+    against ``qt``; written to ``out`` when given. Cells with a zero std
+    come out meaningless, and callers mask them."""
     with np.errstate(invalid="ignore", divide="ignore"):
         num = np.subtract(qt, length * mu_a * mu_b, out=out)
         return np.divide(num, length * sd_a * sd_b, out=num)
@@ -231,35 +210,33 @@ def _q_bound(q_raw, length: int):
     return np.sqrt(length * (1.0 - qc * qc))
 
 
-def _row_arrays(qt_row: np.ndarray, i: int, length: int, mu: np.ndarray, sd: np.ndarray,
-                valid_nbr: np.ndarray, want_f: bool = True):
-    """Distance row (and bound-factor row) for owner i from its dot products.
-
-    Invalid cells (trivial matches, constant windows) come back +inf.
-    """
-    n_dp = mu.shape[0]
+def _mask_row(row: np.ndarray, i: int, length: int, valid_nbr: np.ndarray, fill=np.inf):
+    """Set owner i's invalid cells (trivial matches, constant windows) of
+    ``row`` to ``fill``, in place; returns ``row``."""
     excl = policy.exclusion_zone(length)
-    lo, hi = max(0, i - excl + 1), min(n_dp, i + excl)
-    q_raw, dist = _z_dist(qt_row, length, mu[i], sd[i], mu, sd)
-    dist[~valid_nbr] = np.inf
-    dist[lo:hi] = np.inf
-    if not want_f:
-        return dist, None
-    f_row = _q_bound(q_raw, length)
-    f_row[~valid_nbr] = np.inf
-    f_row[lo:hi] = np.inf
-    return dist, f_row
+    row[~valid_nbr] = fill
+    row[max(0, i - excl + 1):i + excl] = fill
+    return row
 
 
-def row_profile(series: DataSeries, i: int, length: int, want_f: bool = False,
-                qt_row: np.ndarray | None = None, harvest: PartialProfiles | None = None,
-                m: int = 1):
-    """One full distance row from scratch (FFT dot products + window stats)
-    as (dist, f_row, qt_row); a caller that batched the FFTs passes the dot
-    products as ``qt_row``. Harvesting form, given ``harvest`` (the partial
-    profiles at ``length``): refresh row i's stored entries and return its m
-    nearest neighbours and their distances, as ``_harvest_select(dist, m)``
-    picks them, from p+1 cells where :func:`_settle_row` settles the row."""
+def _row_arrays(qt_row: np.ndarray, i: int, length: int, mu: np.ndarray, sd: np.ndarray,
+                valid_nbr: np.ndarray):
+    """Distance row and bound-factor row for owner i from its dot products,
+    +inf at invalid cells."""
+    q_raw = _correlation(qt_row, length, mu[i], sd[i], mu, sd)
+    return (_mask_row(_q_dist(q_raw, length), i, length, valid_nbr),
+            _mask_row(_q_bound(q_raw, length), i, length, valid_nbr))
+
+
+def row_profile(series: DataSeries, i: int, length: int, qt_row: np.ndarray | None = None,
+                harvest: PartialProfiles | None = None, m: int = 1):
+    """Row i at ``length`` from scratch (FFT dot products + window stats); a
+    caller that batched the FFTs passes the dot products as ``qt_row``. Full
+    form: the distance row, +inf at trivial matches and constant windows.
+    Harvesting form, given ``harvest`` (the partial profiles at ``length``):
+    refresh row i's stored entries and return its m nearest neighbours and
+    their distances, as ``_harvest_select(dist, m)`` picks them, from p+1
+    cells where :func:`_settle_row` settles the row."""
     if qt_row is None:
         qt_row = sliding_dot_product(series.window(i, length), series)
     mu, sd = series.moving_stats(length)
@@ -267,14 +244,17 @@ def row_profile(series: DataSeries, i: int, length: int, want_f: bool = False,
     if harvest is not None:
         return (_settle_row(harvest, i, qt_row, length, mu, sd, valid, m)
                 or _harvest_full(harvest, i, qt_row, length, mu, sd, valid, m))
-    dist, f_row = _row_arrays(qt_row, i, length, mu, sd, valid, want_f=want_f)
-    return dist, f_row, qt_row
+    q_raw = _correlation(qt_row, length, mu[i], sd[i], mu, sd)
+    return _mask_row(_q_dist(q_raw, length), i, length, valid)
 
 
 def _harvest_full(partials, i, qt_row, length, mu, sd, valid, m):
-    """:func:`_settle_row` from the full rows, for any row."""
+    """:func:`_settle_row` from the full rows, for any row. The row stores
+    its ``p`` smallest bound factors, or keeps its entries when none is finite."""
     dist, f_row = _row_arrays(qt_row, i, length, mu, sd, valid)
-    partials.harvest_row(i, f_row, qt_row, dist)
+    sel = _harvest_select(f_row, partials.p)
+    if sel.shape[0]:
+        partials._store(i, sel, qt_row[sel], dist[sel], f_row[sel].max())
     nbrs = _harvest_select(dist, m)
     return nbrs, dist[nbrs]
 
@@ -285,10 +265,7 @@ def _settle_row(partials, i, qt_row, length, mu, sd, valid, m):
     n_dp, p = mu.shape[0], partials.p
     if not m <= p < n_dp - 1:
         return None
-    excl = policy.exclusion_zone(length)
-    q = _correlation(qt_row, length, mu[i], sd[i], mu, sd)
-    q[~valid] = -np.inf
-    q[max(0, i - excl + 1):i + excl] = -np.inf
+    q = _mask_row(_correlation(qt_row, length, mu[i], sd[i], mu, sd), i, length, valid, -np.inf)
     top = np.argpartition(q, n_dp - p - 1)[n_dp - p - 1:]
     top = top[np.argsort(q[top])]
     settled, d, f = _settles(q[top], valid[i], p, m, length)
@@ -375,19 +352,15 @@ def compute_matrix_profile(series: DataSeries, length: int, p: int) -> ProfileRe
     ----------
     series : DataSeries
     length : int
-        Window length; needs 4 <= length and length + exclusion_zone(length)
-        <= n, so that at least one non-trivial pair exists (the condition
-        ``valmod.validate_range`` applies to a whole range).
+        Window length; ``policy.validate_range`` must accept it as the
+        one-length range ``[length, length]``.
     p : int
-        Stored neighbors per row (the reuse budget for longer lengths).
+        Stored neighbors per row (>= 1; the reuse budget for longer lengths).
     """
-    n = series.n
-    if length < 4 or length + policy.exclusion_zone(length) > n:
-        raise SeriesTooShortError(
-            f"need 4 <= length and length + ceil(length/2) <= n (length={length}, n={n})")
+    policy.validate_range(series, length, length)
     if p < 1:
         raise InvalidParametersError("p must be at least 1")
-    n_dp = n - length + 1
+    n_dp = series.n - length + 1
     mu, sd = series.moving_stats(length)
     valid_nbr = sd >= series.sigma_floor
     if not valid_nbr.any():
@@ -395,7 +368,7 @@ def compute_matrix_profile(series: DataSeries, length: int, p: int) -> ProfileRe
 
     mp = np.full(n_dp, np.inf)
     ip = np.full(n_dp, -1, dtype=np.int64)
-    partials = PartialProfiles(series, n_dp, p, length)
+    partials = PartialProfiles(series, p, length)
     for s in range(0, n_dp, CHUNK_ROWS):
         _scan_chunk(series, length, s, min(s + CHUNK_ROWS, n_dp),
                     mu, sd, valid_nbr, mp, ip, partials)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy
-from .exceptions import InvalidParametersError, SeriesTooShortError, UnpopulatedError
+from .exceptions import UnpopulatedError
 from .profile import _BLOCK_CELLS, PartialProfiles, compute_matrix_profile, row_profile
 from .series import DataSeries, sliding_dot_products
 
@@ -67,11 +67,13 @@ class VALMP:
         return self.n_offsets
 
 
-def update_valmp(valmp: VALMP, mp_values, ip, n_dp: int, length: int, ranking=None) -> np.ndarray:
-    """Fold one length's profile values in by :func:`_fold`, ``ranking`` as there;
-    returns the offsets that improved. On a tie the held, shorter entry stays."""
-    mp_values = np.asarray(mp_values, dtype=np.float64)[:n_dp]
-    return _fold(valmp, np.arange(n_dp), mp_values, np.asarray(ip)[:n_dp],
+def update_valmp(valmp: VALMP, mp_values, ip, length: int, ranking=None) -> np.ndarray:
+    """Fold one length's profile values, one per offset there, in by :func:`_fold`,
+    ``ranking`` as there; returns the offsets that improved. On a tie the
+    held, shorter entry stays."""
+    mp_values = np.asarray(mp_values, dtype=np.float64)
+    n_dp = mp_values.shape[0]
+    return _fold(valmp, np.arange(n_dp), mp_values, np.asarray(ip),
                  np.full(n_dp, length), ranking)
 
 
@@ -168,18 +170,6 @@ def _owed(valmp: VALMP, rows: np.ndarray, norm: np.ndarray) -> np.ndarray:
     return ~valmp.populated[rows] | (norm < valmp.norm_distances[rows])
 
 
-def validate_range(series: DataSeries, lmin: int, lmax: int):
-    if lmin > lmax:
-        raise InvalidParametersError(f"lmin {lmin} > lmax {lmax}")
-    if lmin < 4:
-        raise InvalidParametersError("minimum window length is 4")
-    need = lmax + policy.exclusion_zone(lmax)
-    if series.n < need:
-        raise SeriesTooShortError(
-            f"series of {series.n} points cannot host a non-trivial pair at "
-            f"length {lmax} (needs {need})")
-
-
 def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
            ranking=None, trace=None) -> VALMP:
     """Exact best match per offset over every window length in [lmin, lmax].
@@ -191,7 +181,7 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
         Inclusive window-length range.
     p : int
         Stored neighbors per row. Any p >= 1 yields the same output; larger
-        p only prunes more.
+        p only prunes more. The first length's scan rejects p < 1.
     ranking : PairRanking, optional
         When given, every improvement is also offered to this bounded top-K
         pair ranking (the motif-set front end).
@@ -199,9 +189,7 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
         Collects per-length pruning counts and motif summaries; the first
         length's record counts every scanned row as valid.
     """
-    validate_range(series, lmin, lmax)
-    if p < 1:
-        raise InvalidParametersError("p must be at least 1")
+    policy.validate_range(series, lmin, lmax)
 
     if ranking is not None:   # imported here: motifsets imports this module
         from .motifsets import update_valmp_for_motif_sets as _ms_update
@@ -233,7 +221,7 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
         else:
             values, indices = sub.values, sub.indices
             floors.append((length, sub.floor_rows, sub.floor_values))
-        fold(valmp, values, indices, n_dp, length)
+        fold(valmp, values, indices, length)
         if trace is not None:
             trace.add_length(length, n_profiles=n_dp, motif=_written_motif(values, indices),
                              reseed=reseed, **counts)
@@ -265,7 +253,7 @@ def _repair(series, valmp, floors, ranking, trace):
         ks = ks[_owed(valmp, rows[ks], norm[ks])]
         offs, lens = rows[ks], lengths[ks]
         dist_min, nbr = np.empty(ks.shape[0]), np.empty(ks.shape[0], dtype=np.int64)
-        for k, (dist, _, _) in _recompute(series, offs.tolist(), lens.tolist()):
+        for k, dist in _recompute(series, offs.tolist(), lens.tolist()):
             nbr[k] = j = dist.argmin()
             dist_min[k] = dist[j]
             if trace is not None:
@@ -275,7 +263,7 @@ def _repair(series, valmp, floors, ranking, trace):
 
 
 def top_variable_length_motif(valmp: VALMP):
-    """Global best pair: argmin of normalized distance, ties to smaller offset then length.
+    """Global best pair: argmin of normalized distance, ties to the smaller offset.
 
     Returns (offset, neighbor, length, distance, norm_distance).
     """

@@ -1,6 +1,6 @@
 """Extension lower bound, checked on the engine's own vectorized kernels.
 
-For an owner window i and a neighbor j at base length L, ``row_profile``
+For an owner window i and a neighbor j at base length L, ``_row_arrays``
 gives the bound factor ``f_row[j] = sqrt(L * (1 - max(q, 0)^2))``; at any
 longer length L+k the bound is ``f_row[j] * sd_L[i] / sd_{L+k}[i]`` (the
 owner is the anchor). ``PartialProfiles`` keeps the p smallest factors per
@@ -13,8 +13,9 @@ import pytest
 
 import seriesmine as sm
 from seriesmine.oracle import naive_distance_matrix
-from seriesmine.profile import (_correlation, _q_bound, _z_dist, compute_matrix_profile,
-                                row_profile)
+from seriesmine.profile import _correlation, _q_bound, compute_matrix_profile
+
+from kernel_rows import full_rows
 
 
 def _naive_znorm(a, b):
@@ -24,11 +25,10 @@ def _naive_znorm(a, b):
 
 
 def _q(t, i, j, length):
-    """Correlation of windows i and j from the live z-distance kernel."""
+    """Correlation of windows i and j from the live correlation kernel."""
     mu, sd = t.moving_stats(length)
     qt = np.array([np.dot(t.window(i, length), t.window(j, length))])
-    q_raw, _ = _z_dist(qt, length, mu[i], sd[i], mu[j], sd[j])
-    return float(q_raw[0])
+    return float(_correlation(qt, length, mu[i], sd[i], mu[j], sd[j])[0])
 
 
 def _scaled_bound(f_row, t, i, length, k):
@@ -49,7 +49,7 @@ def test_q_value_anticorrelated():
     t = sm.ingest(np.concatenate([w, -w]))
     assert _q(t, 0, 8, 8) == pytest.approx(-1.0, abs=1e-9)
     # an anti-correlated pair gets the largest factor, sqrt(L)
-    _, f_row, _ = row_profile(t, 0, 8, want_f=True)
+    _, _, f_row = full_rows(t, 0, 8)
     assert f_row[8] == pytest.approx(np.sqrt(8.0), rel=1e-12)
 
 
@@ -65,14 +65,14 @@ def test_q_value_matches_pearson():
 def test_q_value_zero_variance():
     # a constant neighbor window gets neither a distance nor a bound
     t = sm.ingest(np.concatenate([np.full(8, 2.0), np.arange(8.0)]))
-    dist, f_row, _ = row_profile(t, 8, 8, want_f=True)
+    _, dist, f_row = full_rows(t, 8, 8)
     assert dist[0] == np.inf and f_row[0] == np.inf
 
 
 def test_lower_bound_perfect_correlation_is_zero():
     rng = np.random.default_rng(0)
     t = sm.ingest(np.tile(rng.standard_normal(16), 3))
-    _, f_row, _ = row_profile(t, 0, 16, want_f=True)
+    _, _, f_row = full_rows(t, 0, 16)
     assert f_row[16] == pytest.approx(0.0, abs=1e-6)
 
 
@@ -82,7 +82,7 @@ def test_lower_bound_zero_correlation_formula():
     b = np.array([1.0, 1.0, -1.0, -1.0] * 4)
     t = sm.ingest(np.concatenate([a, b]))
     assert _q(t, 0, 16, 16) == pytest.approx(0.0, abs=1e-12)
-    _, f_row, _ = row_profile(t, 0, 16, want_f=True)
+    _, _, f_row = full_rows(t, 0, 16)
     assert f_row[16] == pytest.approx(4.0, rel=1e-12)
 
 
@@ -97,7 +97,7 @@ def test_lower_bound_soundness_random_pairs():
         i, j = (int(v) for v in rng.integers(0, t.n - 2 * length, size=2))
         if abs(i - j) < length:
             continue
-        _, f_row, _ = row_profile(t, i, length, want_f=True)
+        _, _, f_row = full_rows(t, i, length)
         for k in range(1, length + 1):
             lb = f_row[j] * sd[0][i] / sd[k][i]
             true = _naive_znorm(t.window(i, length + k), t.window(j, length + k))
@@ -148,7 +148,7 @@ def test_scale_bound_preserves_order():
     length, p = 16, 5
     partials = compute_matrix_profile(t, length, p).partials
     for i in range(0, t.n - 2 * length, 17):
-        _, f_row, _ = row_profile(t, i, length, want_f=True)
+        _, _, f_row = full_rows(t, i, length)
         stored = partials.nbr[i][np.isfinite(partials.dist[i])]
         others = np.setdiff1d(np.flatnonzero(np.isfinite(f_row)), stored)
         for k in (1, 5, 16):
@@ -248,7 +248,7 @@ def test_exhaustive_soundness_small_series():
     truth = {k: naive_distance_matrix(t, length + k) for k in (1, 5, 16)}
     n_pairs = 0
     for i in range(0, t.n - 2 * length, 5):
-        _, f_row, _ = row_profile(t, i, length, want_f=True)
+        _, _, f_row = full_rows(t, i, length)
         for k, dists in truth.items():
             n_dp = dists.shape[1]
             lb = _scaled_bound(f_row, t, i, length, k)[:n_dp]

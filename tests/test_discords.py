@@ -21,7 +21,7 @@ def _spike_series(n=600, at=300, seed=0):
 
 def test_insert_first_candidate_fills_last_column_top():
     dkm = DiscordMatrix.empty(3, 2, 16)
-    assert update_fixed_length_discords(dkm, np.array([1.0, 2.0]), 50, 3, 2)
+    assert update_fixed_length_discords(dkm, np.array([1.0, 2.0]), 50)
     assert dkm.dist[0, 1] == 2.0 and dkm.offset[0, 1] == 50
     assert np.all(dkm.offset[:, 0] == -1)
 
@@ -30,10 +30,10 @@ def test_insert_below_everything_changes_nothing():
     dkm = DiscordMatrix.empty(2, 2, 16)
     for off, vals in [(0, [5.0, 6.0]), (20, [4.0, 5.5]),
                       (40, [3.0, 5.0]), (60, [2.5, 4.8])]:
-        update_fixed_length_discords(dkm, np.array(vals), off, 2, 2)
+        update_fixed_length_discords(dkm, np.array(vals), off)
     assert np.all(dkm.offset >= 0)   # full matrix
     before_d, before_o = dkm.dist.copy(), dkm.offset.copy()
-    assert not update_fixed_length_discords(dkm, np.array([0.1, 0.2]), 80, 2, 2)
+    assert not update_fixed_length_discords(dkm, np.array([0.1, 0.2]), 80)
     assert np.array_equal(dkm.dist, before_d) and np.array_equal(dkm.offset, before_o)
 
 
@@ -46,9 +46,9 @@ def test_insert_policy_replay_on_random_rows():
     for off in range(0, 600, 13):
         vals = np.sort(rng.uniform(0.5, 6.0, size=m))
         if not a.has_trivial(off):
-            update_fixed_length_discords(a, vals, off, k, m)
+            update_fixed_length_discords(a, vals, off)
         if not b.has_trivial(off):
-            update_fixed_length_discords(b, vals, off, k, m)
+            update_fixed_length_discords(b, vals, off)
     assert np.array_equal(a.dist, b.dist) and np.array_equal(a.offset, b.offset)
 
 
@@ -63,7 +63,7 @@ def test_has_trivial_equals_linear_scan():
         off = int(rng.integers(0, 500))
         if step % 2 and dkm.has_trivial(off):
             continue
-        update_fixed_length_discords(dkm, np.sort(rng.uniform(0, 10, size=m)), off, k, m)
+        update_fixed_length_discords(dkm, np.sort(rng.uniform(0, 10, size=m)), off)
         stored = [int(o) for o in dkm.offset[dkm.offset >= 0]]
         for q in range(0, 520):
             assert dkm.has_trivial(q) == any(abs(q - o) < excl for o in stored), (step, q)
@@ -76,7 +76,7 @@ def test_columns_stay_sorted_descending():
     for off in range(0, 900, 11):
         vals = np.sort(rng.uniform(0, 10, size=m))
         if not dkm.has_trivial(off):
-            update_fixed_length_discords(dkm, vals, off, k, m)
+            update_fixed_length_discords(dkm, vals, off)
     for j in range(m):
         col = dkm.dist[:, j]
         assert np.all(np.diff(col) <= 0)
@@ -84,8 +84,8 @@ def test_columns_stay_sorted_descending():
 
 def test_merge_first_length_is_normalized_copy():
     dkm = DiscordMatrix.empty(2, 2, 16)
-    update_fixed_length_discords(dkm, np.array([2.0, 3.0]), 10, 2, 2)
-    update_fixed_length_discords(dkm, np.array([1.0, 2.5]), 40, 2, 2)
+    update_fixed_length_discords(dkm, np.array([2.0, 3.0]), 10)
+    update_fixed_length_discords(dkm, np.array([1.0, 2.5]), 40)
     merged = VariableLengthDiscordMatrix.empty(2, 2)
     update_variable_length_discords(dkm, merged)
     assert np.allclose(merged.dist, dkm.dist / 4.0)
@@ -96,9 +96,9 @@ def test_merge_first_length_is_normalized_copy():
 def test_merge_tie_keeps_later_length():
     merged = VariableLengthDiscordMatrix.empty(1, 1)
     d16 = DiscordMatrix.empty(1, 1, 16)
-    update_fixed_length_discords(d16, np.array([4.0]), 10, 1, 1)
+    update_fixed_length_discords(d16, np.array([4.0]), 10)
     d25 = DiscordMatrix.empty(1, 1, 25)
-    update_fixed_length_discords(d25, np.array([5.0]), 77, 1, 1)   # 5/sqrt(25) == 4/sqrt(16)
+    update_fixed_length_discords(d25, np.array([5.0]), 77)   # 5/sqrt(25) == 4/sqrt(16)
     update_variable_length_discords(d16, merged)
     update_variable_length_discords(d25, merged)
     assert merged.length[0, 0] == 25 and merged.offset[0, 0] == 77
@@ -114,7 +114,7 @@ def test_merge_equals_per_cell_max_over_lengths():
         for off in range(0, 500, 37):
             vals = np.sort(rng.uniform(1, 9, size=m))
             if not dkm.has_trivial(off):
-                update_fixed_length_discords(dkm, vals, off, k, m)
+                update_fixed_length_discords(dkm, vals, off)
         cells.append(dkm.dist / np.sqrt(length))
         update_variable_length_discords(dkm, merged)
     assert np.allclose(merged.dist, np.maximum.reduce(cells))
@@ -132,7 +132,7 @@ def test_degenerate_single_length_equals_profile_argmax():
             continue
         d = sorted_match_distances(dists[i], 1)
         if np.isfinite(d[0]):
-            update_fixed_length_discords(replay, d, i, 1, 1)
+            update_fixed_length_discords(replay, d, i)
     assert int(scan.merged.offset[0, 0]) == int(replay.offset[0, 0])
     assert float(scan.per_length[24].dist[0, 0]) == \
         pytest.approx(float(replay.dist[0, 0]), abs=1e-7)

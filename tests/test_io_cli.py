@@ -195,10 +195,21 @@ def test_validation_exit_code_names_constraint(series_file, capsys):
     ["motif-sets", "--lmin", "8", "--lmax", "16", "-D", "0"],
     ["motif-sets", "--lmin", "8", "--lmax", "16", "-D", "nan"],
     ["motif-sets", "--lmin", "8", "--lmax", "16", "-D", "inf"],
+    ["mp", "--length", "3"],
+    ["mp", "--length", "300"],
 ])
 def test_rejected_parameters_exit_3(series_file, argv, capsys):
     assert main(argv + ["--input", series_file]) == 3
     assert capsys.readouterr().err.startswith("mine: validation error:")
+
+
+def test_too_short_length_same_message_for_every_command(series_file, capsys):
+    # one hostable-length rule: a fixed length and a range reject length 3 alike
+    errs = []
+    for argv in (["mp", "--length", "3"], ["motifs", "--lmin", "3", "--lmax", "8"]):
+        assert main(argv + ["--input", series_file]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "mine: validation error: minimum window length is 4\n"
 
 
 def test_negative_column_rejected(tmp_path):

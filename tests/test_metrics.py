@@ -2,8 +2,9 @@ import numpy as np
 
 import seriesmine as sm
 from seriesmine.metrics import RunTrace
-from seriesmine.profile import row_profile
 from seriesmine.synthetic import random_walk, smooth_walk
+
+from kernel_rows import full_rows
 
 
 def test_mean_tlb_over_profile_in_unit_interval():
@@ -16,7 +17,7 @@ def test_mean_tlb_over_profile_in_unit_interval():
         i, j = (int(v) for v in rng.integers(0, t.n - 2 * length, size=2))
         if abs(i - j) < 8:
             continue
-        _, f_row, _ = row_profile(t, i, length, want_f=True)
+        _, _, f_row = full_rows(t, i, length)
         lb = f_row[j] * sd_l[i] / sd_next[i]      # the owner is the anchor
         a = t.window(i, length + 1)
         b = t.window(j, length + 1)

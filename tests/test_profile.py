@@ -14,6 +14,8 @@ from seriesmine.profile import (CHUNK_ROWS, PartialProfiles, _harvest_select,
 from seriesmine.series import advance_dot_products, sliding_dot_product
 from seriesmine.synthetic import planted_pair_series, random_walk
 
+from kernel_rows import full_rows
+
 
 def test_planted_duplicate_pair():
     rng = np.random.default_rng(0)
@@ -78,11 +80,10 @@ def test_harvest_keeps_smallest_bounds():
     length = 16
     p = 5
     res = compute_matrix_profile(t, length, p)
-    from seriesmine.profile import row_profile
     for i in range(0, t.n - length + 1, 23):
         if not np.isfinite(res.partials.m_sigma[i]):
             continue
-        _, f_row, _ = row_profile(t, i, length, want_f=True)
+        _, _, f_row = full_rows(t, i, length)
         sel = np.isfinite(res.partials.dist[i])
         stored = set(res.partials.nbr[i][sel].tolist())
         stored_max = max(f_row[j] for j in stored)
@@ -113,7 +114,7 @@ def test_min_with_exclusion_skips_zone():
     # (ceil(16/2) = 8 each side) hides it and the overlapping shifts
     t = sm.ingest(random_walk(200, seed=4))
     i, length = 50, 16
-    dist, _, _ = row_profile(t, i, length)
+    dist = row_profile(t, i, length)
     assert int(np.argmin(_explicit_row(t, i, length))) == i
     assert np.all(np.isinf(dist[i - 7:i + 8]))
     assert np.isfinite(dist[i - 8]) and np.isfinite(dist[i + 8])
@@ -122,7 +123,7 @@ def test_min_with_exclusion_skips_zone():
 def test_min_with_exclusion_matches_filter_oracle():
     t = sm.ingest(random_walk(100, seed=4))
     i, length = 50, 16
-    dist, _, _ = row_profile(t, i, length)
+    dist = row_profile(t, i, length)
     explicit = _explicit_row(t, i, length)
     mask = np.abs(np.arange(explicit.shape[0]) - i) >= 8
     expected_j = int(np.flatnonzero(mask)[np.argmin(explicit[mask])])
@@ -133,7 +134,7 @@ def test_min_with_exclusion_matches_filter_oracle():
 def test_min_with_exclusion_no_neighbor():
     # n=10, length 8: three windows, all inside each other's zone
     t = sm.ingest(random_walk(10, seed=4))
-    dist, _, _ = row_profile(t, 1, 8)
+    dist = row_profile(t, 1, 8)
     assert not np.isfinite(dist).any()
 
 
@@ -141,7 +142,7 @@ def test_series_too_short():
     t = sm.ingest(np.arange(20.0))
     with pytest.raises(SeriesTooShortError):
         compute_matrix_profile(t, 16, 2)
-    with pytest.raises(SeriesTooShortError):
+    with pytest.raises(InvalidParametersError):     # below the minimum length 4
         compute_matrix_profile(t, 3, 2)
 
 
@@ -178,7 +179,7 @@ def test_chunk_seams_match_fresh_rows():
     res = compute_matrix_profile(t, 64, 5)
     assert res.profile.mp.shape[0] > 2 * CHUNK_ROWS     # three chunks
     for i in (CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS):
-        dist, _, qt_row = row_profile(t, i, 64)
+        qt_row, dist, _ = full_rows(t, i, 64)
         j = int(np.argmin(dist))
         assert np.allclose(res.profile.mp[i], dist[j], rtol=1e-9, atol=1e-9)
         assert res.profile.ip[i] == j
@@ -192,7 +193,7 @@ def test_best_match_harvest_tracks_m_smallest():
     length, m = 16, 3
     dists = naive_distance_matrix(t, length)
     for i in range(0, t.n - length + 1, 31):
-        row = row_profile(t, i, length)[0]
+        row = row_profile(t, i, length)
         nbrs = _harvest_select(row, m)
         finite = np.sort(dists[i][np.isfinite(dists[i])])[:m]
         assert np.allclose(np.sort(row[nbrs]), finite, atol=1e-7)
@@ -221,12 +222,12 @@ def test_planted_pair_certified_across_lengths():
 
 def _row_by_row_scan(t, length, p):
     """The scan as full rows: the dot-product recursion (FFT-seeded per
-    chunk), then ``_row_arrays`` + ``harvest_row`` on every live row."""
+    chunk), then ``_harvest_full`` on every live row."""
     n_dp = t.n - length + 1
     mu, sd = t.moving_stats(length)
     valid = sd >= t.sigma_floor
     mp, ip = np.full(n_dp, np.inf), np.full(n_dp, -1, dtype=np.int64)
-    partials = PartialProfiles(t, n_dp, p, length)
+    partials = PartialProfiles(t, p, length)
     for i in range(n_dp):
         if i % CHUNK_ROWS == 0:
             qt = sliding_dot_product(t.window(i, length), t)
@@ -234,11 +235,9 @@ def _row_by_row_scan(t, length, p):
             qt = advance_dot_products(qt, t, i, length, out=qt)
         if not valid[i]:
             continue
-        dist, f_row = profile._row_arrays(qt, i, length, mu, sd, valid)
-        j = int(np.argmin(dist))
-        if np.isfinite(dist[j]):
-            mp[i], ip[i] = dist[j], j
-        partials.harvest_row(i, f_row, qt, dist)
+        nbrs, dists = profile._harvest_full(partials, i, qt, length, mu, sd, valid, 1)
+        if nbrs.shape[0]:
+            mp[i], ip[i] = dists[0], nbrs[0]
     return mp, ip, partials
 
 
@@ -343,7 +342,7 @@ def test_sorted_row_matches_equals_per_row_lexsort():
         assert both.sum() > 10
         _assert_liveness_invariants(t, pp)
         for m in (1, 4, pp.p + 2):
-            dists, nbrs = pp.sorted_row_matches(m, n_rows)
+            dists, nbrs = pp.sorted_row_matches(m)
             assert dists.shape == nbrs.shape == (n_rows, m)
             for i in range(n_rows):
                 sel = np.isfinite(pp.dist[i])
@@ -444,17 +443,16 @@ def test_block_settle_resolves_near_ties_like_full_rows():
             cols = rng.choice(n_dp, p + 3, replace=False)
             q[r, cols] = a + rng.integers(-4, 5, p + 3) * np.spacing(a)
         qt = length * q
-        full, block = (PartialProfiles(t, n_dp, p, length) for _ in range(2))
+        full, block = (PartialProfiles(t, p, length) for _ in range(2))
         full.sd = block.sd = sd
         mp_full, ip_full = np.full(n_dp, np.inf), np.full(n_dp, -1, dtype=np.int64)
         mp_block, ip_block = mp_full.copy(), ip_full.copy()
         settled = profile._settle_block(rows, qt, np.empty_like(qt), length, mu, sd,
                                         valid, mp_block, ip_block, block)
         for r, i in enumerate(rows):
-            dist, f_row = profile._row_arrays(qt[r], i, length, mu, sd, valid)
-            j = int(np.argmin(dist))
-            mp_full[i], ip_full[i] = dist[j], j
-            full.harvest_row(i, f_row, qt[r], dist)
+            nbrs, dists = profile._harvest_full(full, i, qt[r], length, mu, sd, valid, 1)
+            if nbrs.shape[0]:
+                mp_full[i], ip_full[i] = dists[0], nbrs[0]
         s = rows[settled]
         assert np.array_equal(mp_block[s], mp_full[s])
         assert np.array_equal(ip_block[s], ip_full[s])
@@ -497,9 +495,12 @@ def test_harvest_select_fast_path_equals_reference():
 
 def _recompute_by_full_rows(t, partials, i, length, m):
     """A recomputed row the way valmod and the discord scan took it before
-    the settle path: full rows, ``harvest_row`` on them, then the m nearest."""
-    dist, f_row, qt_row = row_profile(t, i, length, want_f=True)
-    partials.harvest_row(i, f_row, qt_row, dist)
+    the settle path: full rows, the ``p`` smallest bound factors stored (a
+    row with none finite keeps its entries), then the m nearest."""
+    qt_row, dist, f_row = full_rows(t, i, length)
+    sel = _harvest_select(f_row, partials.p)
+    if sel.shape[0]:
+        partials._store(i, sel, qt_row[sel], dist[sel], f_row[sel].max())
     nbrs = _harvest_select(dist, m)
     return nbrs, dist[nbrs]
 
@@ -514,13 +515,15 @@ def _assert_recompute_bits(t, lmin, length, p, m):
         partials.advance(step)
         expected.advance(step)
     fell_back = []
-    harvest_row = partials.harvest_row
-    partials.harvest_row = lambda i, *args: fell_back.append(i) or harvest_row(i, *args)
+    harvest_full = profile._harvest_full
     live = np.flatnonzero(t.moving_stats(length)[1] >= t.sigma_floor).tolist()
-    for i in live:
-        nbrs, dists = row_profile(t, i, length, harvest=partials, m=m)
-        want_nbrs, want_dists = _recompute_by_full_rows(t, expected, i, length, m)
-        assert np.array_equal(nbrs, want_nbrs) and np.array_equal(dists, want_dists), i
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profile, "_harvest_full",
+                      lambda pp, i, *args: fell_back.append(i) or harvest_full(pp, i, *args))
+        for i in live:
+            nbrs, dists = row_profile(t, i, length, harvest=partials, m=m)
+            want_nbrs, want_dists = _recompute_by_full_rows(t, expected, i, length, m)
+            assert np.array_equal(nbrs, want_nbrs) and np.array_equal(dists, want_dists), i
     for name in _PARTIAL_ARRAYS:
         assert np.array_equal(getattr(partials, name), getattr(expected, name)), name
     return len(live) - len(fell_back), len(live)
@@ -582,16 +585,14 @@ def test_row_settle_resolves_near_ties_like_full_rows():
         cols = rng.choice(n_dp, p + 3, replace=False)
         q[cols] = a + rng.integers(-4, 5, p + 3) * np.spacing(a)
         qt = length * q
-        full, one = (PartialProfiles(t, n_dp, p, length) for _ in range(2))
+        full, one = (PartialProfiles(t, p, length) for _ in range(2))
         full.sd = one.sd = sd
         got = profile._settle_row(one, i, qt, length, mu, sd, valid, m)
-        dist, f_row = profile._row_arrays(qt, i, length, mu, sd, valid)
-        full.harvest_row(i, f_row, qt, dist)
+        nbrs, dists = profile._harvest_full(full, i, qt, length, mu, sd, valid, m)
         if got is None:
             n_fallback += valid[i]
             continue
-        nbrs = _harvest_select(dist, m)
-        assert np.array_equal(got[0], nbrs) and np.array_equal(got[1], dist[nbrs])
+        assert np.array_equal(got[0], nbrs) and np.array_equal(got[1], dists)
         for name in _PARTIAL_ARRAYS[:-1]:
             assert np.array_equal(getattr(one, name)[i], getattr(full, name)[i]), name
         n_settled += 1

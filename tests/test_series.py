@@ -227,12 +227,9 @@ def test_advance_constant_series():
 def test_extend_dot_product():
     # a stored dot product grows by the product of the two new last values
     t = sm.ingest([1.0, 2.0, 3.0, 1.0, 5.0, 2.0, 4.0, 0.0, 3.0, 7.0])
-    partials = PartialProfiles(t, n_rows=7, p=1, length=4)
-    f_row = np.full(7, np.inf)
-    f_row[5] = 1.0                      # the one finite bound factor: neighbor 5
-    qt_row = np.zeros(7)
-    qt_row[5] = 13.0                    # 1*2+2*4+3*0+1*3
-    partials.harvest_row(0, f_row, qt_row, np.zeros(7))
+    partials = PartialProfiles(t, p=1, length=4)
+    # row 0 stores neighbor 5, its dot product 1*2+2*4+3*0+1*3 and bound factor 1
+    partials._store(0, np.array([5]), np.array([13.0]), np.zeros(1), 1.0)
     partials.advance(5)
     assert np.isfinite(partials.dist[0, 0])
     assert partials.qt[0, 0] == 13.0 + 5.0 * 7.0

@@ -47,8 +47,8 @@ def test_planted_pair_top_motif_every_length():
 
 class _StubProfiles:
     """Stands in for ``PartialProfiles``: ``step`` gives fixed stored minima
-    and thresholds, and a recomputed row's refresh, from its full rows
-    (``harvest_row``) or from its settled cells (``_store``), records it."""
+    and thresholds, and a recomputed row's refresh (``_store``, from its
+    full rows or its settled cells) records it."""
 
     p = 1
 
@@ -59,9 +59,6 @@ class _StubProfiles:
     def step(self, length, m):
         return self.min_dists[:, None], np.zeros((self.min_dists.shape[0], 1), int), \
             self.thresholds
-
-    def harvest_row(self, i, f_row, qt_row, dist):
-        self.harvested.append(i)
 
     def _store(self, i, nbr, qt, dist, m_f):
         self.harvested.append(i)
@@ -99,16 +96,16 @@ def test_update_valmp_populates_and_keeps_ties():
     v = VALMP(4)
     mp = np.array([4.0, 2.0, 8.0, 1.0])
     ip = np.array([2, 3, 0, 1])
-    update_valmp(v, mp, ip, 4, 16)
+    update_valmp(v, mp, ip, 16)
     assert v.populated.all()
     assert np.allclose(v.norm_distances, mp / 4.0)
     # identical normalized values at a longer length do not displace
-    update_valmp(v, mp * np.sqrt(25 / 16), ip[::-1].copy(), 4, 25)
+    update_valmp(v, mp * np.sqrt(25 / 16), ip[::-1].copy(), 25)
     assert np.all(v.lengths == 16)
     assert np.array_equal(v.indices, ip)
     # a strict improvement does
     better = mp * np.sqrt(25 / 16) * 0.5
-    update_valmp(v, better, ip[::-1].copy(), 4, 25)
+    update_valmp(v, better, ip[::-1].copy(), 25)
     assert np.all(v.lengths == 25)
 
 
@@ -124,13 +121,13 @@ def test_fold_pushes_exactly_the_improved_entries():
 
     v, rec = VALMP(4), Recorder()
     update_valmp_for_motif_sets(v, np.array([4.0, 2.0, np.inf, 1.0]),
-                                np.array([2, 3, -1, 1]), 4, 16, rec)
+                                np.array([2, 3, -1, 1]), 16, rec)
     assert rec.pushed == [(0, 2, 4.0, 16, 1.0), (1, 3, 2.0, 16, 0.5), (3, 1, 1.0, 16, 0.25)]
     # at length 64: offset 0 improves, 1 ties (the shorter entry stays), 2 is
     # new, 3 is worse
     rec.pushed.clear()
     update_valmp_for_motif_sets(v, np.array([4.0, 4.0, 8.0, 8.0]),
-                                np.array([3, 0, 0, 0]), 4, 64, rec)
+                                np.array([3, 0, 0, 0]), 64, rec)
     assert rec.pushed == [(0, 3, 4.0, 64, 0.5), (2, 0, 8.0, 64, 1.0)]
     # a repair result that ties offset 1 at a shorter length replaces it
     rec.pushed.clear()
@@ -430,7 +427,7 @@ def _sequential_repair(series, valmp, floors, ranking, recomputed):
         i, length = int(rows[k]), int(lengths[k])
         if valmp.populated[i] and norm[k] >= valmp.norm_distances[i]:
             continue
-        dist, _, _ = row_profile(series, i, length)
+        dist = row_profile(series, i, length)
         recomputed.append((i, length))
         j = int(np.argmin(dist))
         if not np.isfinite(dist[j]):
@@ -490,7 +487,7 @@ def test_repair_tie_goes_to_the_shorter_length(held_length, replaced):
     module = importlib.import_module("seriesmine.valmod")
     t = sm.ingest(random_walk(300, seed=4))
     i, length = 10, 20
-    dist, _, _ = row_profile(t, i, length)
+    dist = row_profile(t, i, length)
     j = int(np.argmin(dist))
     v = VALMP(t.n - 16 + 1)
     v.distances[i], v.norm_distances[i] = 1.0, dist[j] * np.sqrt(1.0 / length)
@@ -578,7 +575,7 @@ def test_capacity_never_changes_output():
 def test_top_motif_tie_breaks_to_smaller_offset():
     v = VALMP(5)
     update_valmp(v, np.array([2.0, 1.0, 3.0, 1.0, 9.0]),
-                 np.array([3, 3, 0, 1, 0]), 5, 16)
+                 np.array([3, 3, 0, 1, 0]), 16)
     off, nbr, length, dist, norm = sm.top_variable_length_motif(v)
     assert (off, nbr, length) == (1, 3, 16)
     assert dist == 1.0 and norm == 0.25

@@ -3,20 +3,23 @@
 Usage: ``python3 tools/ab_time.py SRC_A SRC_B WORKLOAD|all [ROUNDS]``
 
 SRC_A and SRC_B are the ``src`` directories of the two trees; WORKLOAD is a
-``perfbench`` workload name, and ``all`` times every workload in turn, so a
-same-speed check is one command. Each tree's package is copied under a
-private name (``seriesmine_a``, ``seriesmine_b``) and both are imported side
-by side, which works because the package imports itself only relatively.
-Every input of a workload's default seed is mined through ``cli.main`` with
-the workload's argv, once untimed per tree, then ROUNDS times (default 6)
-per tree, alternating which tree runs first. The script checks that both
-trees write the same documents (``timing`` aside) and prints, per workload
-and tree, the sum over inputs of each input's fastest call and the mean
-over inputs of each input's median call, then the A/B ratio of each.
+``perfbench`` workload name, and ``all`` times every workload in turn. Each
+tree's package is copied under a private name (``seriesmine_a``,
+``seriesmine_b``) and both are imported side by side, which works because
+the package imports itself only relatively. Every input of a workload's
+default seed is mined through ``cli.main`` with the workload's argv, once
+untimed per tree, then ROUNDS times (default 6) per tree, alternating which
+tree runs first. The script checks that both trees write the same
+documents (``timing`` aside) and prints, per workload and tree, the line
+count of the copied ``seriesmine/*.py``, the sum over inputs of each
+input's fastest call and the mean over inputs of each input's median call,
+then the A/B ratio of each. A same-speed check and a line check are thus
+one command.
 """
 
 from __future__ import annotations
 
+import glob
 import importlib
 import json
 import os
@@ -35,6 +38,15 @@ def _load_cli(src: str, name: str, tmp: str):
     return importlib.import_module(f"{name}.cli")
 
 
+def _line_count(package: str) -> int:
+    """Lines of a package's modules, ``*.py`` directly in ``package``."""
+    total = 0
+    for path in glob.glob(os.path.join(package, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def _document(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -42,7 +54,7 @@ def _document(path: str) -> dict:
     return doc
 
 
-def _time_workload(clis, srcs, w, rounds: int, tmp: str):
+def _time_workload(clis, labels, w, rounds: int, tmp: str):
     """Time one workload on both trees and print its sums and ratios."""
     from workloads import write_series
     out = os.path.join(tmp, "out.json")
@@ -76,8 +88,8 @@ def _time_workload(clis, srcs, w, rounds: int, tmp: str):
     sums = [sum(min(s) for s in samples[side]) for side in (0, 1)]
     medians = [statistics.mean(statistics.median(s) for s in samples[side]) for side in (0, 1)]
     print(f"{w.name}: {w.inputs} inputs x {rounds} rounds, same documents")
-    for side, src in enumerate(srcs):
-        print(f"  {'AB'[side]} {src}: sum of minima {sums[side]:.4f} s, "
+    for side, label in enumerate(labels):
+        print(f"  {'AB'[side]} {label}, sum of minima {sums[side]:.4f} s, "
               f"mean of medians {medians[side]:.4f} s")
     print(f"  A/B: sum of minima {sums[0] / sums[1]:.3f}x, "
           f"mean of medians {medians[0] / medians[1]:.3f}x", flush=True)
@@ -94,10 +106,13 @@ def main(argv) -> int:
     names = list(WORKLOADS) if argv[3] == "all" else [argv[3]]
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        clis = [_load_cli(src, name, tmp) for src, name in zip(srcs, ("seriesmine_a",
-                                                                      "seriesmine_b"))]
+        packages = ("seriesmine_a", "seriesmine_b")
+        clis = [_load_cli(src, name, tmp) for src, name in zip(srcs, packages)]
+        # counted on the copies, so the lines are those of the code timed
+        labels = [f"{src}: {_line_count(os.path.join(tmp, name))} lines"
+                  for src, name in zip(srcs, packages)]
         for name in names:
-            _time_workload(clis, srcs, WORKLOADS[name], rounds, tmp)
+            _time_workload(clis, labels, WORKLOADS[name], rounds, tmp)
     return 0
 
 
