@@ -1,7 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``mine motifs``, ``mine motif-sets``, ``mine discords``,
-``mine mp --length L``, ``mine oracle {motifs|discords}``.
+Subcommands and the flags they take beyond ``--input --column --output
+--format``: ``mine motifs --lmin --lmax --p --threads --trace``; ``mine
+motif-sets``, the same plus ``--top-k --radius-factor/-D --min-frequency``;
+``mine discords``, the same as ``motifs`` plus ``--k --m --per-length``;
+``mine mp --length --p --threads``; ``mine oracle motifs --lmin --lmax``;
+``mine oracle discords``, the same plus ``--k --m``.
 
 Every flag can also be supplied through an environment variable named
 ``MINE_<FLAG>`` (dashes to underscores, upper case). Explicit flags win over
@@ -9,13 +13,15 @@ the environment, the environment wins over the built-in defaults. A switch
 reads 0/false/no/off or 1/true/yes/on (any case); any other value is a
 usage error.
 
-``--threads`` (``MINE_THREADS``) is accepted for compatibility and echoed
-under ``parameters``; the scan itself is single-threaded, so the value does
-not change the work done.
+``--threads`` (``MINE_THREADS``) is echoed under ``parameters`` and changes
+no work: the scan is single-threaded. It stays only because the benchmark's
+argv (``perfbench/workloads.py``) passes it.
 
-Exit codes: 0 success, 2 I/O failure (missing/unreadable files, bad file
+Exit codes: 0 success, 2 usage error (an unknown flag, a bad ``MINE_``
+switch or format) or I/O failure (missing/unreadable files, bad file
 content), 3 validation failure (parameter constraints, non-finite values,
-series too short). Diagnostics are a single line on stderr.
+series too short, every window constant). Diagnostics are a single line on
+stderr, after the usage line for a usage error.
 """
 
 from __future__ import annotations
@@ -40,48 +46,41 @@ from .valmod import top_variable_length_motif, valmod
 
 ENV_PREFIX = "MINE_"
 
-DEFAULTS = {
-    "p": 50,
-    "top_k": 40,
-    "radius_factor": 4.0,
-    "k": 1,
-    "m": 1,
-    "threads": 1,
-    "format": "json",
-}
+
+def _flag(parser, *names, **kwargs):
+    """Add a flag; its ``MINE_<DEST>`` variable, when set, replaces the
+    default and makes the flag optional. A switch reads the variable as a
+    boolean word, or keeps the raw value, which ``main`` rejects."""
+    action = parser.add_argument(*names, **kwargs)
+    value = os.environ.get(ENV_PREFIX + action.dest.upper())
+    if value is not None:
+        if action.nargs == 0:
+            value = {"": False, "0": False, "false": False, "no": False, "off": False,
+                     "1": True, "true": True, "yes": True, "on": True}.get(value.lower(), value)
+        action.default, action.required = value, False
+    return action
 
 
-def _env_default(dest, fallback=None):
-    return os.environ.get(ENV_PREFIX + dest.upper(), fallback)
-
-
-def _env_flag(dest):
-    """A store_true flag's default: its variable read as a boolean word, or
-    the raw value when it is none, which ``main`` rejects as a usage error."""
-    value = _env_default(dest, "")
-    return {"": False, "0": False, "false": False, "no": False, "off": False,
-            "1": True, "true": True, "yes": True, "on": True}.get(value.lower(), value)
-
-
-def _add_common(sub, lengths=True):
-    sub.add_argument("--input", required=_env_default("input") is None,
-                     default=_env_default("input"), help="series file")
-    sub.add_argument("--column", type=int,
-                     default=_env_default("column"), help="CSV column index (0-based)")
+def _command(subs, name, run, help=None, lengths=True, engine=True):
+    """Add subcommand ``name`` running ``run``: ``lengths`` adds the length
+    range, ``engine`` the engine's --p and --threads, and both --trace."""
+    cmd = subs.add_parser(name, help=help)
+    cmd.set_defaults(run=run)
+    _flag(cmd, "--input", required=True, help="series file")
+    _flag(cmd, "--column", type=int, help="CSV column index (0-based)")
     if lengths:
-        sub.add_argument("--lmin", type=int, required=_env_default("lmin") is None,
-                         default=_env_default("lmin"))
-        sub.add_argument("--lmax", type=int, required=_env_default("lmax") is None,
-                         default=_env_default("lmax"))
-    sub.add_argument("--p", type=int, default=_env_default("p", DEFAULTS["p"]))
-    sub.add_argument("--threads", type=int,
-                     default=_env_default("threads", DEFAULTS["threads"]),
-                     help="accepted for compatibility and echoed in the output; "
-                          "the scan is single-threaded")
-    sub.add_argument("--output", default=_env_default("output"))
-    sub.add_argument("--format", choices=["json", "csv"],
-                     default=_env_default("format", DEFAULTS["format"]))
-    sub.add_argument("--trace", action="store_true", default=_env_flag("trace"))
+        _flag(cmd, "--lmin", type=int, required=True)
+        _flag(cmd, "--lmax", type=int, required=True)
+    if engine:
+        _flag(cmd, "--p", type=int, default=50)
+        _flag(cmd, "--threads", type=int, default=1,
+              help="accepted for compatibility and echoed in the output; "
+                   "the scan is single-threaded")
+    _flag(cmd, "--output")
+    _flag(cmd, "--format", choices=["json", "csv"], default="json")
+    if lengths and engine:
+        _flag(cmd, "--trace", action="store_true")
+    return cmd
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,40 +88,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mine",
         description="Exact variable-length motif and discord mining")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    motifs = subs.add_parser("motifs", help="best match per offset over a length range")
-    _add_common(motifs)
-
-    msets = subs.add_parser("motif-sets", help="Top-K pairs expanded to disjoint sets")
-    _add_common(msets)
-    msets.add_argument("--top-k", type=int, dest="top_k",
-                       default=_env_default("top_k", DEFAULTS["top_k"]))
-    msets.add_argument("--radius-factor", "-D", type=float, dest="radius_factor",
-                       default=_env_default("radius_factor", DEFAULTS["radius_factor"]))
-    msets.add_argument("--min-frequency", type=int,
-                       default=_env_default("min_frequency"))
-
-    disc = subs.add_parser("discords", help="Top-k m-th discords over a length range")
-    _add_common(disc)
-    disc.add_argument("--k", type=int, default=_env_default("k", DEFAULTS["k"]))
-    disc.add_argument("--m", type=int, default=_env_default("m", DEFAULTS["m"]))
-    disc.add_argument("--per-length", action="store_true",
-                      default=_env_flag("per_length"),
-                      help="include every per-length matrix in the output")
-
-    mp = subs.add_parser("mp", help="matrix profile at one fixed length")
-    _add_common(mp, lengths=False)
-    mp.add_argument("--length", type=int, required=_env_default("length") is None,
-                    default=_env_default("length"))
+    _command(subs, "motifs", _run_motifs, "best match per offset over a length range")
+    msets = _command(subs, "motif-sets", _run_motif_sets,
+                     "Top-K pairs expanded to disjoint sets")
+    _flag(msets, "--top-k", type=int, default=40)
+    _flag(msets, "--radius-factor", "-D", type=float, default=4.0)
+    _flag(msets, "--min-frequency", type=int)
+    disc = _command(subs, "discords", _run_discords,
+                    "Top-k m-th discords over a length range")
+    mp = _command(subs, "mp", _run_mp, "matrix profile at one fixed length", lengths=False)
+    _flag(mp, "--length", type=int, required=True)
 
     oracle = subs.add_parser("oracle", help="brute-force reference results")
     osubs = oracle.add_subparsers(dest="oracle_kind", required=True)
-    omot = osubs.add_parser("motifs")
-    _add_common(omot)
-    odis = osubs.add_parser("discords")
-    _add_common(odis)
-    odis.add_argument("--k", type=int, default=_env_default("k", DEFAULTS["k"]))
-    odis.add_argument("--m", type=int, default=_env_default("m", DEFAULTS["m"]))
+    _command(osubs, "motifs", _run_oracle_motifs, engine=False)
+    odis = _command(osubs, "discords", _run_oracle_discords, engine=False)
+    for cmd in (disc, odis):    # before --per-length: the echo keeps its key order
+        _flag(cmd, "--k", type=int, default=1)
+        _flag(cmd, "--m", type=int, default=1)
+    _flag(disc, "--per-length", action="store_true",
+          help="include every per-length matrix in the output")
     return parser
 
 
@@ -227,7 +212,7 @@ def _run_discords(args, series):
                                    args.k, args.m, args.p, trace=trace)
     wall = time.perf_counter() - t0
     payload = {"merged": _cells(scan.merged, "norm_distance", scan.merged.length)}
-    if getattr(args, "per_length", False):
+    if args.per_length:
         payload["per_length"] = [
             {"length": length, "cells": _cells(dkm)}
             for length, dkm in sorted(scan.per_length.items())]
@@ -277,16 +262,8 @@ def _run_oracle_discords(args, series):
 
 
 def _params(args):
-    skip = {"command", "oracle_kind", "input", "output", "format", "trace"}
+    skip = {"command", "oracle_kind", "run", "input", "output", "format", "trace"}
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-
-
-_RUNNERS = {
-    "motifs": _run_motifs,
-    "motif-sets": _run_motif_sets,
-    "discords": _run_discords,
-    "mp": _run_mp,
-}
 
 
 def main(argv=None) -> int:
@@ -310,12 +287,7 @@ def main(argv=None) -> int:
         return 3
 
     try:
-        if args.command == "oracle":
-            runner = (_run_oracle_motifs if args.oracle_kind == "motifs"
-                      else _run_oracle_discords)
-        else:
-            runner = _RUNNERS[args.command]
-        doc = runner(args, series)
+        doc = args.run(args, series)
     except SeriesMineError as exc:
         print(f"mine: validation error: {exc}", file=sys.stderr)
         return 3

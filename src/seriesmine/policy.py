@@ -11,7 +11,7 @@ lexicographic.
 
 import numpy as np
 
-from .exceptions import InvalidParametersError, SeriesTooShortError
+from .exceptions import AllConstantError, InvalidParametersError, SeriesTooShortError
 
 SIGMA_FLOOR_SCALE = 1e-7
 
@@ -22,8 +22,9 @@ def exclusion_zone(length: int) -> int:
 
 
 def validate_range(series, lmin: int, lmax: int):
-    """Reject a length range the series cannot host: lengths start at 4, and
-    the longest needs a non-trivial pair, length + exclusion_zone(length) <= n."""
+    """Reject a length range the series cannot host: lengths start at 4, the
+    longest needs a non-trivial pair, length + exclusion_zone(length) <= n,
+    and ``AllConstantError`` when every window at ``lmin`` is constant."""
     if lmin > lmax:
         raise InvalidParametersError(f"lmin {lmin} > lmax {lmax}")
     if lmin < 4:
@@ -33,6 +34,8 @@ def validate_range(series, lmin: int, lmax: int):
         raise SeriesTooShortError(
             f"series of {series.n} points cannot host a non-trivial pair at "
             f"length {lmax} (needs {need})")
+    if not (series.moving_stats(lmin)[1] >= series.sigma_floor).any():
+        raise AllConstantError(f"every window of length {lmin} is constant")
 
 
 def sigma_floor(values) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy
-from .exceptions import AllConstantError, InvalidParametersError
+from .exceptions import InvalidParametersError
 from .series import DataSeries, advance_dot_products, sliding_dot_product
 
 CHUNK_ROWS = 2048
@@ -353,7 +353,8 @@ def compute_matrix_profile(series: DataSeries, length: int, p: int) -> ProfileRe
     series : DataSeries
     length : int
         Window length; ``policy.validate_range`` must accept it as the
-        one-length range ``[length, length]``.
+        one-length range ``[length, length]``, so a length whose every
+        window is constant raises ``AllConstantError``.
     p : int
         Stored neighbors per row (>= 1; the reuse budget for longer lengths).
     """
@@ -363,8 +364,6 @@ def compute_matrix_profile(series: DataSeries, length: int, p: int) -> ProfileRe
     n_dp = series.n - length + 1
     mu, sd = series.moving_stats(length)
     valid_nbr = sd >= series.sigma_floor
-    if not valid_nbr.any():
-        raise AllConstantError(f"every window of length {length} is constant")
 
     mp = np.full(n_dp, np.inf)
     ip = np.full(n_dp, -1, dtype=np.int64)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import seriesmine as sm
-from seriesmine.cli import main
+from seriesmine.cli import build_parser, main
+from seriesmine.exceptions import AllConstantError
 from seriesmine.io import InputFormatError, document_to_csv, read_series, write_document
+from seriesmine.oracle import brute_force_discords, brute_force_motifs
 from seriesmine.synthetic import planted_cluster_series, random_walk
 
 
@@ -118,8 +120,8 @@ def test_motifs_output_shape_and_determinism(series_file, tmp_path):
 
 def test_motifs_cli_matches_oracle_cli(series_file, tmp_path):
     eng, orc = str(tmp_path / "e.json"), str(tmp_path / "o.json")
-    common = ["--input", series_file, "--lmin", "8", "--lmax", "12", "--trace"]
-    assert main(["motifs"] + common + ["--p", "5", "--output", eng]) == 0
+    common = ["--input", series_file, "--lmin", "8", "--lmax", "12"]
+    assert main(["motifs"] + common + ["--p", "5", "--trace", "--output", eng]) == 0
     assert main(["oracle", "motifs"] + common + ["--output", orc]) == 0
     e, o = _load(eng), _load(orc)
     for key in ("normDistances", "lengths", "indices"):
@@ -282,6 +284,77 @@ def test_env_var_overrides(series_file, tmp_path, monkeypatch):
         main(["motifs", "--input", str(tmp_path / "missing.txt"), "--output", out])
     assert exc.value.code == 2
     assert main(["motifs", "--input", series_file, "--format", "json", "--output", out]) == 0
+
+
+@pytest.mark.parametrize("var, value, typed, argv, explicit, required", [
+    ("MINE_INPUT", "a.txt", "a.txt", ["mp", "--length", "8"], ("b.txt", "b.txt"), True),
+    ("MINE_COLUMN", "2", 2, ["mp", "--input", "s", "--length", "8"], ("3", 3), False),
+    ("MINE_OUTPUT", "o.json", "o.json", ["mp", "--input", "s", "--length", "8"],
+     ("p.json", "p.json"), False),
+    ("MINE_FORMAT", "csv", "csv", ["motifs", "--input", "s", "--lmin", "8", "--lmax", "12"],
+     ("json", "json"), False),
+    ("MINE_LENGTH", "16", 16, ["mp", "--input", "s"], ("12", 12), True),
+    ("MINE_K", "3", 3, ["oracle", "discords", "--input", "s", "--lmin", "8", "--lmax", "12"],
+     ("2", 2), False),
+    ("MINE_M", "2", 2, ["discords", "--input", "s", "--lmin", "8", "--lmax", "12"],
+     ("4", 4), False),
+    ("MINE_MIN_FREQUENCY", "3", 3,
+     ["motif-sets", "--input", "s", "--lmin", "8", "--lmax", "12"], ("5", 5), False),
+    ("MINE_THREADS", "4", 4, ["motifs", "--input", "s", "--lmin", "8", "--lmax", "12"],
+     ("2", 2), False),
+])
+def test_every_flag_reads_its_variable(var, value, typed, argv, explicit, required,
+                                       monkeypatch):
+    dest = var[len("MINE_"):].lower()
+    flag = "--" + dest.replace("_", "-")
+    if required:    # the flag is required until its variable is set
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+    monkeypatch.setenv(var, value)
+    got = getattr(build_parser().parse_args(argv), dest)
+    assert type(got) is type(typed) and got == typed
+    got = getattr(build_parser().parse_args(argv + [flag, explicit[0]]), dest)
+    assert type(got) is type(explicit[1]) and got == explicit[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "motifs", "--lmin", "8", "--lmax", "12", "--p", "5"],
+    ["oracle", "motifs", "--lmin", "8", "--lmax", "12", "--threads", "1"],
+    ["oracle", "discords", "--lmin", "8", "--lmax", "12", "--trace"],
+    ["oracle", "discords", "--lmin", "8", "--lmax", "12", "--p", "5"],
+    ["mp", "--length", "8", "--trace"],
+])
+def test_ignored_flags_are_usage_errors(series_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", series_file])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_oracle_parameters_echo_no_engine_knobs(series_file, tmp_path):
+    out = str(tmp_path / "o.json")
+    for kind in ("motifs", "discords"):
+        assert main(["oracle", kind, "--input", series_file, "--lmin", "8",
+                     "--lmax", "12", "--output", out]) == 0
+        params = _load(out)["parameters"]
+        assert params["lmin"] == 8 and not {"p", "threads"} & set(params)
+
+
+def test_all_constant_series_rejected_alike(tmp_path, capsys):
+    # one all-constant rule: the engine and the oracle reject a flat series
+    series = sm.ingest(np.ones(100))
+    with pytest.raises(AllConstantError):
+        brute_force_motifs(series, 8, 12)
+    with pytest.raises(AllConstantError):
+        brute_force_discords(series, 8, 12, 1, 1)
+    path = tmp_path / "flat.txt"
+    np.savetxt(path, np.ones(100))
+    errs = set()
+    for command in (["motifs"], ["discords"], ["oracle", "motifs"], ["oracle", "discords"]):
+        assert main(command + ["--input", str(path), "--lmin", "8", "--lmax", "12"]) == 3
+        errs.add(capsys.readouterr().err)
+    assert errs == {"mine: validation error: every window of length 8 is constant\n"}
 
 
 def test_threads_flag_identical_output(series_file, tmp_path):

@@ -7,6 +7,11 @@ SHA-256 line per item:
 
 * each ``perfbench`` workload: the CLI documents minus ``timing`` of every
   input of its default seed, mined with the workload's argv plus ``--trace``;
+* ``mine mp`` (``--length`` lmin, p=10) and ``mine oracle motifs`` on input 0
+  of ``motifs-planted``, and ``mine oracle discords`` (k=m=3) on input 0 of
+  ``discords-walk``, each over the workload's length range: the documents
+  minus ``timing`` and ``parameters``, so the check holds across a change
+  to which flags a subcommand echoes;
 * W1 and W2 (``planted_motif_benchmark(5000, 128, 1)`` and
   ``random_walk(5000, 1)``, L 64-128, p=10): the ``valmod`` arrays and the
   ``RunTrace`` totals;
@@ -53,17 +58,33 @@ def main(argv) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         inp, out = os.path.join(tmp, "series.txt"), os.path.join(tmp, "out.json")
+
+        def mine(name, w, j, argv):
+            write_series(inp, w.series(w.default_seed, j))
+            if cli.main(argv) != 0:
+                raise SystemExit(f"{name} input {j}: mine failed")
+            with open(out, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            doc.pop("timing")
+            return doc
+
         for name, w in WORKLOADS.items():
-            docs = []
-            for j in range(w.inputs):
-                write_series(inp, w.series(w.default_seed, j))
-                if cli.main(w.argv(inp, out) + ["--trace"]) != 0:
-                    raise SystemExit(f"{name} input {j}: mine failed")
-                with open(out, encoding="utf-8") as fh:
-                    doc = json.load(fh)
-                doc.pop("timing")
-                docs.append(doc)
+            docs = [mine(name, w, j, w.argv(inp, out) + ["--trace"]) for j in range(w.inputs)]
             print(f"{name:16s} {_digest(docs)}")
+
+        def span(w):
+            return ["--input", inp, "--output", out,
+                    "--lmin", str(w.lmin), "--lmax", str(w.lmax)]
+        planted, walk = WORKLOADS["motifs-planted"], WORKLOADS["discords-walk"]
+        for name, w, argv in (
+                ("mp", planted, ["mp", "--input", inp, "--output", out,
+                                 "--length", str(planted.lmin), "--p", "10"]),
+                ("oracle motifs", planted, ["oracle", "motifs"] + span(planted)),
+                ("oracle discords", walk, ["oracle", "discords", "--k", "3", "--m", "3"]
+                 + span(walk))):
+            doc = mine(name, w, 0, argv)
+            doc.pop("parameters")
+            print(f"{name:16s} {_digest(doc)}")
 
     for name, values in (("W1 valmod", planted_motif_benchmark(5000, 128, 1)),
                          ("W2 valmod", random_walk(5000, 1))):
