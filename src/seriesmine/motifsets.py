@@ -6,6 +6,9 @@ motif set: every window within radius ``r = D * pair_distance`` of either
 anchor joins, where D is the user's radius factor. Each anchor's candidates
 come from one full distance row at the pair's length.
 
+No pair above :meth:`PairRanking.bound` can still rank, and the bound only
+falls, so ``valmod`` neither offers nor repairs anything above it.
+
 Sets are built best pair first, and every window consumed by a set is removed
 from the search space, so the returned sets are pairwise disjoint — including
 across lengths: two sets may not share a start offset even with different
@@ -58,6 +61,10 @@ class PairRanking:
 
     def __len__(self):
         return len(self._items)
+
+    def bound(self) -> float:
+        """The K-th key's normalized distance once full, else +inf; never rises."""
+        return self._keys[-1][0] if len(self._keys) >= self.capacity else np.inf
 
     def __iter__(self):
         return iter(self._items)
@@ -116,11 +123,6 @@ class MotifSet:
         return int(self.members.shape[0])
 
 
-def _range_members(series, owner, length, r):
-    """Offsets within distance r of the owner, from one full distance row."""
-    return np.flatnonzero(row_profile(series, owner, length) < r)
-
-
 def validate_radius_factor(radius_factor: float):
     """Reject a radius factor D that is not a finite positive number."""
     if not (np.isfinite(radius_factor) and radius_factor > 0.0):
@@ -136,9 +138,10 @@ def compute_var_length_motif_sets(series: DataSeries, ranking: PairRanking,
     Radius per pair is ``radius_factor * pair distance``. Candidate members
     are admitted in ascending offset order, skipping overlaps with already
     admitted members and any offset consumed by an earlier set (same start
-    offset conflicts even across lengths). A pair whose anchor was already
-    consumed is skipped outright. ``min_frequency`` is a post-filter on the
-    finished sets.
+    offset conflicts even across lengths); a candidate is tested against
+    the two anchors and the last member admitted, in O(1). A pair whose
+    anchor was already consumed is skipped outright. ``min_frequency`` is a
+    post-filter on the finished sets.
     """
     validate_radius_factor(radius_factor)
     consumed: set[int] = set()
@@ -147,21 +150,20 @@ def compute_var_length_motif_sets(series: DataSeries, ranking: PairRanking,
         if pair.off1 in consumed or pair.off2 in consumed:
             continue
         r = pair.distance * radius_factor
-        side1 = _range_members(series, pair.off1, pair.length, r)
-        side2 = _range_members(series, pair.off2, pair.length, r)
+        anchors = (pair.off1, pair.off2)
+        # offsets within r of either anchor, from one full distance row each
+        within = {c for a in anchors
+                  for c in np.flatnonzero(row_profile(series, a, pair.length) < r).tolist()}
         excl = policy.exclusion_zone(pair.length)
-        admitted = [pair.off1, pair.off2]
-        for c in sorted(set(map(int, side1)) | set(map(int, side2))):
-            if c in (pair.off1, pair.off2) or c in consumed:
-                continue
-            if any(abs(c - a) < excl for a in admitted):
-                continue
-            admitted.append(c)
+        admitted = list(anchors)
+        for c in sorted(within):
+            # the later members ascend below c, so the last one is the nearest
+            if c not in consumed and all(abs(c - a) >= excl for a in (*anchors, admitted[-1])):
+                admitted.append(c)
         members = np.array(sorted(admitted), dtype=np.int64)
-        sets.append(MotifSet(members, pair.length, float(r),
-                             (pair.off1, pair.off2), pair.distance,
+        sets.append(MotifSet(members, pair.length, float(r), anchors, pair.distance,
                              pair.norm_distance))
-        consumed.update(map(int, members))
+        consumed.update(admitted)
     if min_frequency is not None:
         sets = [s for s in sets if s.frequency >= min_frequency]
     return sets
@@ -169,10 +171,5 @@ def compute_var_length_motif_sets(series: DataSeries, ranking: PairRanking,
 
 def validate_disjoint(sets: list[MotifSet]) -> bool:
     """True when no start offset appears in two sets (any lengths)."""
-    seen: set[int] = set()
-    for s in sets:
-        mem = set(map(int, s.members))
-        if seen & mem:
-            return False
-        seen |= mem
-    return True
+    per_set = [set(s.members.tolist()) for s in sets]
+    return sum(map(len, per_set)) == len(set().union(*per_set))

@@ -15,7 +15,8 @@ hide the length's motif, and is recomputed; the other non-valid rows leave
 *floors*. A final repair pass recomputes exactly those (row, length) floors
 that still undercut the row's best-so-far normalized match, which makes the
 merged per-offset output exact at every offset, not just at the motif. It
-walks the floors in rounds of one floor per offset.
+walks the floors in rounds of one floor per offset, and with a motif-set
+ranking skips the floors above its bound, which can no longer rank.
 
 A length's hiding rows and a repair round run through one loop that
 batches their FFTs (``_recompute``), and every result enters the output
@@ -79,7 +80,8 @@ def update_valmp(valmp: VALMP, mp_values, ip, length: int, ranking=None) -> np.n
 
 def _fold(valmp: VALMP, offs, dists, nbrs, lengths, ranking=None) -> np.ndarray:
     """Offer each (offset, distance, neighbor, length) to its entry; returns
-    the offsets replaced, and pushes their pairs to ``ranking`` when given.
+    the offsets replaced, and pushes to ``ranking``, when given, those within
+    its bound (none above it can rank; an equal norm can win on length).
 
     An entry is replaced by a smaller normalized distance, or by an equal one
     at a shorter length; unpopulated entries hold +inf, and NaN never wins.
@@ -92,8 +94,8 @@ def _fold(valmp: VALMP, offs, dists, nbrs, lengths, ranking=None) -> np.ndarray:
     valmp.distances[offs], valmp.norm_distances[offs], valmp.lengths[offs] = dists, norm, lengths
     valmp.indices[offs], valmp.populated[offs] = nbrs, True
     if ranking is not None:
-        for pair in zip(offs.tolist(), nbrs.tolist(), dists.tolist(), lengths.tolist(),
-                        norm.tolist()):
+        push = norm <= ranking.bound()
+        for pair in zip(*(a[push].tolist() for a in (offs, nbrs, dists, lengths, norm))):
             ranking.push(*pair)
     return offs
 
@@ -183,8 +185,9 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
         Stored neighbors per row. Any p >= 1 yields the same output; larger
         p only prunes more. The first length's scan rejects p < 1.
     ranking : PairRanking, optional
-        When given, every improvement is also offered to this bounded top-K
-        pair ranking (the motif-set front end).
+        When given, every improvement within ``ranking.bound()`` is also
+        offered to this top-K pair ranking (the motif-set front end); the
+        VALMP is then exact only where its best norm is within the final bound.
     trace : RunTrace, optional
         Collects per-length pruning counts and motif summaries; the first
         length's record counts every scanned row as valid.
@@ -240,6 +243,8 @@ def _repair(series, valmp, floors, ranking, trace):
     floor and recomputes the owed rows with their FFTs batched. Its offsets
     are distinct and each decision reads only its own offset's entry, so the
     rounds recompute the rows, and leave the entries, of one offset at a time.
+    With a ranking, a round drops its floors above ``ranking.bound()``: each
+    is a lower bound on its row's norm, and the bound only falls.
     """
     if not floors:
         return
@@ -250,7 +255,8 @@ def _repair(series, valmp, floors, ranking, trace):
     rank = np.arange(order.shape[0]) - np.searchsorted(rows[order], rows[order])
     for r in range(int(rank.max(initial=-1)) + 1):
         ks = order[rank == r]
-        ks = ks[_owed(valmp, rows[ks], norm[ks])]
+        bound = np.inf if ranking is None else ranking.bound()
+        ks = ks[_owed(valmp, rows[ks], norm[ks]) & (norm[ks] <= bound)]
         offs, lens = rows[ks], lengths[ks]
         dist_min, nbr = np.empty(ks.shape[0]), np.empty(ks.shape[0], dtype=np.int64)
         for k, dist in _recompute(series, offs.tolist(), lens.tolist()):

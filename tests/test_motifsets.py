@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seriesmine as sm
 from seriesmine import policy
@@ -35,6 +36,53 @@ def test_ranking_eviction_drops_worst_pair():
     assert ranking.push(3, 40, 1.5, 8, 0.15)
     assert (2, 30) not in ranking
     assert len(ranking) == 2
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(capacity=st.integers(1, 6),
+       pushes=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(4, 6),
+                                 st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5])),
+                       max_size=40))
+def test_bound_is_inf_until_full_then_never_rises(capacity, pushes):
+    # no push above the bound lands, so the engine may drop it unoffered
+    ranking = PairRanking(capacity)
+    last = np.inf
+    for a, b, length, norm in pushes:
+        bound, keys = ranking.bound(), list(ranking._keys)
+        assert bound == (np.inf if len(ranking) < capacity else keys[-1][0])
+        assert bound <= last
+        last = bound
+        landed = ranking.push(a, b, norm * np.sqrt(length), length, norm)
+        if norm > bound:
+            assert not landed and ranking._keys == keys
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(["walk", "repeats", "sine"]), seed=st.integers(0, 2**31 - 1),
+       top_k=st.sampled_from([1, 3, 10, 40]), p=st.sampled_from([2, 5, 10]),
+       radius_factor=st.sampled_from([1.0, 4.0, 8.0]))
+def test_bound_pruning_keeps_rankings_and_sets(kind, seed, top_k, p, radius_factor):
+    # against a run whose bound is held at +inf, so nothing is pruned
+    rng = np.random.default_rng(seed)
+    if kind == "walk":
+        values = random_walk(300, seed=seed)
+    elif kind == "repeats":
+        values = planted_cluster_series(300, 24, (30, 130, 230), jitter=0.03, seed=seed % 1000)
+    else:
+        values = np.sin(np.arange(300) * 2 * np.pi / rng.uniform(15, 40))
+        values += 0.05 * rng.standard_normal(300)
+    t = sm.ingest(values)
+    runs = []
+    for unpruned in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if unpruned:
+                mp.setattr(PairRanking, "bound", lambda self: np.inf)
+            ranking = PairRanking(top_k)
+            sm.valmod(t, 16, 32, p, ranking=ranking)
+            sets = sm.compute_var_length_motif_sets(t, ranking, radius_factor)
+        runs.append(([pair.key for pair in ranking],
+                     [(s.anchor, s.length, s.radius, s.members.tolist()) for s in sets]))
+    assert runs[0] == runs[1]
 
 
 def test_topk_matches_oracle_over_two_lengths():
@@ -157,7 +205,8 @@ def _oracle_sets(t, ranking, radius_factor):
      16, 32, 10, 5, 2.0),
     (random_walk(800, seed=1), 32, 64, 10, 40, 4.0),
     (random_walk(600, seed=3), 16, 40, 50, 20, 1.0),
-], ids=["cluster-1800", "cluster-500", "walk-800", "walk-600"])
+    (random_walk(600, seed=3), 16, 40, 50, 20, 8.0),
+], ids=["cluster-1800", "cluster-500", "walk-800", "walk-600", "walk-600-wide"])
 def test_every_motif_set_equals_oracle(values, lmin, lmax, p, top_k, radius_factor):
     t = sm.ingest(values)
     ranking = PairRanking(top_k)

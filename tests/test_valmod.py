@@ -119,6 +119,9 @@ def test_fold_pushes_exactly_the_improved_entries():
         def push(self, *pair):
             self.pushed.append(pair)
 
+        def bound(self):
+            return np.inf
+
     v, rec = VALMP(4), Recorder()
     update_valmp_for_motif_sets(v, np.array([4.0, 2.0, np.inf, 1.0]),
                                 np.array([2, 3, -1, 1]), 16, rec)
@@ -137,6 +140,30 @@ def test_fold_pushes_exactly_the_improved_entries():
     assert v.lengths.tolist() == [64, 4, 64, 16]
     assert v.norm_distances.tolist() == [0.5, 0.5, 1.0, 0.25]
     assert v.indices.tolist() == [3, 0, 0, 1] and v.populated.all()
+
+
+def test_fold_offers_a_full_ranking_only_entries_within_its_bound():
+    # a full ranking's bound is its K-th norm: an entry replaced above it is
+    # still returned but not offered, and one equal to it is offered
+    class Recording(sm.PairRanking):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            self.pushed = []
+
+        def push(self, *pair):
+            self.pushed.append(pair)
+            return super().push(*pair)
+
+    ranking = Recording(1)
+    ranking.push(5, 9, 1.0, 16, 0.25)
+    ranking.pushed.clear()
+    v = VALMP(3)
+    replaced = _fold(v, np.array([0, 1, 2]), np.array([4.0, 1.0, 0.5]),
+                     np.array([8, 7, 9]), np.array([16, 16, 16]), ranking)
+    assert replaced.tolist() == [0, 1, 2]
+    assert v.norm_distances.tolist() == [1.0, 0.25, 0.125]
+    assert ranking.pushed == [(1, 7, 1.0, 16, 0.25), (2, 9, 0.5, 16, 0.125)]
+    assert [p.key for p in ranking] == [(0.125, 16, 2, 9)]
 
 
 def test_compute_sub_mp_all_valid_case():
@@ -473,11 +500,19 @@ def test_repair_rounds_equal_one_offset_at_a_time(monkeypatch, kind):
     sm.valmod(t, 32, 64, 10, ranking=ranking)
     (valmp, ref_valmp, ranking, ref_ranking, expected), = both.checked
     assert len(expected) > 100
-    assert Counter(recorded) == Counter(expected)
-    for name in ("distances", "norm_distances", "lengths", "indices", "populated"):
-        assert np.array_equal(getattr(valmp, name), getattr(ref_valmp, name)), name
-    if ranking is not None:
+    if ranking is None:
+        assert Counter(recorded) == Counter(expected)
+        same = np.ones(len(valmp), dtype=bool)
+    else:
+        # the ranking's bound prunes the rounds: they recompute a sub-multiset
+        # of the sequential rows, rank the same keys, and leave the same bits
+        # wherever the sequential entry is within the final bound
+        assert not Counter(recorded) - Counter(expected)
         assert [p.key for p in ranking] == [p.key for p in ref_ranking]
+        same = ref_valmp.norm_distances <= ranking.bound()
+        assert same.any()
+    for name in ("distances", "norm_distances", "lengths", "indices", "populated"):
+        assert np.array_equal(getattr(valmp, name)[same], getattr(ref_valmp, name)[same]), name
 
 
 @pytest.mark.parametrize("held_length, replaced", [(24, True), (18, False)])

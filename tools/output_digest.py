@@ -7,6 +7,8 @@ SHA-256 line per item:
 
 * each ``perfbench`` workload: the CLI documents minus ``timing`` of every
   input of its default seed, mined with the workload's argv plus ``--trace``;
+  then, on a ``results`` line, the same documents minus ``pruning`` too, so
+  a change that moves only trace counts still reads as the same results;
 * ``mine mp`` (``--length`` lmin, p=10) and ``mine oracle motifs`` on input 0
   of ``motifs-planted``, and ``mine oracle discords`` (k=m=3) on input 0 of
   ``discords-walk``, each over the workload's length range: the documents
@@ -71,6 +73,8 @@ def main(argv) -> int:
         for name, w in WORKLOADS.items():
             docs = [mine(name, w, j, w.argv(inp, out) + ["--trace"]) for j in range(w.inputs)]
             print(f"{name:16s} {_digest(docs)}")
+            results = [{k: v for k, v in doc.items() if k != "pruning"} for doc in docs]
+            print(f"{name + ' results':16s} {_digest(results)}")
 
         def span(w):
             return ["--input", inp, "--output", out,
