@@ -17,6 +17,9 @@ usage error.
 no work: the scan is single-threaded. It stays only because the benchmark's
 argv (``perfbench/workloads.py``) passes it.
 
+Each document's ``timing.wall_seconds`` covers its subcommand's mining and
+payload building, not reading the input or writing the document.
+
 Exit codes: 0 success, 2 usage error (an unknown flag, a bad ``MINE_``
 switch or format) or I/O failure (missing/unreadable files, bad file
 content), 3 validation failure (parameter constraints, non-finite values,
@@ -111,8 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _valmp_payload(populated, distances, norm_distances, lengths, indices):
-    """Per-offset best-match vectors; unpopulated offsets serialize as null."""
+def _valmp_payload(distances, norm_distances, lengths, indices):
+    """Per-offset best-match vectors; unpopulated offsets (norm +inf) serialize as null."""
+    populated = np.isfinite(norm_distances)
+
     def masked(arr, cast=float):
         return [cast(v) if ok else None for v, ok in zip(arr, populated)]
     return {
@@ -125,8 +130,8 @@ def _valmp_payload(populated, distances, norm_distances, lengths, indices):
 
 def _motif_payload(valmp, trace):
     top = top_variable_length_motif(valmp)
-    payload = _valmp_payload(valmp.populated, valmp.distances, valmp.norm_distances,
-                             valmp.lengths, valmp.indices)
+    payload = _valmp_payload(valmp.distances, valmp.norm_distances, valmp.lengths,
+                             valmp.indices)
     payload["top_motif"] = {
         "offset": top[0], "neighbor": top[1], "length": top[2],
         "distance": top[3], "norm_distance": top[4],
@@ -172,22 +177,17 @@ def _cells(dkm, key="distance", lengths=None):
 
 def _run_motifs(args, series):
     trace = RunTrace()
-    t0 = time.perf_counter()
     valmp = valmod(series, args.lmin, args.lmax, args.p, trace=trace)
-    wall = time.perf_counter() - t0
-    payload = _motif_payload(valmp, trace if args.trace else None)
-    return _io.make_document("motifs", _params(args), series.n, payload, wall)
+    return _motif_payload(valmp, trace if args.trace else None)
 
 
 def _run_motif_sets(args, series):
     validate_radius_factor(args.radius_factor)
     trace = RunTrace()
     ranking = PairRanking(args.top_k)
-    t0 = time.perf_counter()
     valmod(series, args.lmin, args.lmax, args.p, ranking=ranking, trace=trace)
     sets = compute_var_length_motif_sets(series, ranking, args.radius_factor,
                                          args.min_frequency)
-    wall = time.perf_counter() - t0
     payload = {
         "disjoint": validate_disjoint(sets),
         "sets": [{"rank": i + 1,
@@ -202,15 +202,13 @@ def _run_motif_sets(args, series):
     }
     if args.trace:
         payload["pruning"] = _pruning_payload(trace)
-    return _io.make_document("motif-sets", _params(args), series.n, payload, wall)
+    return payload
 
 
 def _run_discords(args, series):
     trace = RunTrace()
-    t0 = time.perf_counter()
     scan = topkm_discord_discovery(series, args.lmin, args.lmax,
                                    args.k, args.m, args.p, trace=trace)
-    wall = time.perf_counter() - t0
     payload = {"merged": _cells(scan.merged, "norm_distance", scan.merged.length)}
     if args.per_length:
         payload["per_length"] = [
@@ -218,47 +216,38 @@ def _run_discords(args, series):
             for length, dkm in sorted(scan.per_length.items())]
     if args.trace:
         payload["pruning"] = _pruning_payload(trace)
-    return _io.make_document("discords", _params(args), series.n, payload, wall)
+    return payload
 
 
 def _run_mp(args, series):
-    t0 = time.perf_counter()
-    res = compute_matrix_profile(series, args.length, args.p)
-    wall = time.perf_counter() - t0
-    mp = res.profile
-    payload = {
+    mp = compute_matrix_profile(series, args.length, args.p).profile
+    return {
         "length": args.length,
         "mp": [float(v) if np.isfinite(v) else None for v in mp.mp],
         "ip": [int(v) if v >= 0 else None for v in mp.ip],
     }
-    return _io.make_document("mp", _params(args), series.n, payload, wall)
 
 
 def _run_oracle_motifs(args, series):
-    t0 = time.perf_counter()
     res = brute_force_motifs(series, args.lmin, args.lmax, keep_profiles=False)
-    wall = time.perf_counter() - t0
-    payload = _valmp_payload(np.isfinite(res.valmp_norm), res.valmp_dist,
-                             res.valmp_norm, res.valmp_length, res.valmp_index)
+    payload = _valmp_payload(res.valmp_dist, res.valmp_norm, res.valmp_length,
+                             res.valmp_index)
     payload["per_length"] = [
         {"length": length, "offset": pair[0] if pair[0] >= 0 else None,
          "neighbor": pair[1] if pair[0] >= 0 else None,
          "distance": d if np.isfinite(d) else None}
         for length, pair, d in zip(res.lengths, res.motif_pairs, res.motif_distances)]
-    return _io.make_document("oracle-motifs", _params(args), series.n, payload, wall)
+    return payload
 
 
 def _run_oracle_discords(args, series):
-    t0 = time.perf_counter()
     per_length, merged = brute_force_discords(series, args.lmin, args.lmax,
                                               args.k, args.m)
-    wall = time.perf_counter() - t0
-    payload = {
+    return {
         "merged": _cells(merged, "norm_distance", merged.length),
         "per_length": [{"length": length, "cells": _cells(dkm)}
                        for length, dkm in sorted(per_length.items())],
     }
-    return _io.make_document("oracle-discords", _params(args), series.n, payload, wall)
 
 
 def _params(args):
@@ -287,10 +276,14 @@ def main(argv=None) -> int:
         return 3
 
     try:
-        doc = args.run(args, series)
+        t0 = time.perf_counter()
+        payload = args.run(args, series)
+        wall = time.perf_counter() - t0
     except SeriesMineError as exc:
         print(f"mine: validation error: {exc}", file=sys.stderr)
         return 3
+    command = "-".join(filter(None, (args.command, getattr(args, "oracle_kind", None))))
+    doc = _io.make_document(command, _params(args), series.n, payload, wall)
 
     try:
         _io.write_document(doc, args.output, args.format)

@@ -48,7 +48,8 @@ class PairRanking:
     """Bounded best-K pair collection keyed by normalized distance.
 
     Mirrored improvements collapse onto one canonical (min, max) offset pair;
-    re-pushing an existing pair keeps whichever scores better.
+    re-pushing an existing pair keeps whichever scores better. The keys are
+    held once, ascending; a key's (off1, off2) tail finds its pair.
     """
 
     def __init__(self, capacity: int):
@@ -56,27 +57,24 @@ class PairRanking:
             raise InvalidParametersError(f"top-k must be at least 1 (got {capacity})")
         self.capacity = capacity
         self._keys: list[tuple] = []
-        self._items: list[RankedPair] = []
         self._by_pair: dict[tuple[int, int], RankedPair] = {}
 
     def __len__(self):
-        return len(self._items)
+        return len(self._keys)
 
     def bound(self) -> float:
         """The K-th key's normalized distance once full, else +inf; never rises."""
         return self._keys[-1][0] if len(self._keys) >= self.capacity else np.inf
 
     def __iter__(self):
-        return iter(self._items)
+        return (self._by_pair[key[2:]] for key in self._keys)
 
     def __contains__(self, offsets):
         return (min(offsets), max(offsets)) in self._by_pair
 
-    def _remove(self, pair: RankedPair):
-        pos = bisect.bisect_left(self._keys, pair.key)
-        del self._keys[pos]
-        del self._items[pos]
-        del self._by_pair[(pair.off1, pair.off2)]
+    def _remove(self, key: tuple):
+        del self._keys[bisect.bisect_left(self._keys, key)]
+        del self._by_pair[key[2:]]
 
     def push(self, off1: int, off2: int, distance: float, length: int,
              norm_distance: float) -> bool:
@@ -86,15 +84,13 @@ class PairRanking:
         if held is not None:
             if pair.key >= held.key:
                 return False
-            self._remove(held)
-        elif len(self._items) >= self.capacity and pair.key >= self._keys[-1]:
+            self._remove(held.key)
+        elif len(self._keys) >= self.capacity and pair.key >= self._keys[-1]:
             return False
-        pos = bisect.bisect_left(self._keys, pair.key)
-        self._keys.insert(pos, pair.key)
-        self._items.insert(pos, pair)
+        bisect.insort(self._keys, pair.key)
         self._by_pair[(a, b)] = pair
-        if len(self._items) > self.capacity:
-            self._remove(self._items[-1])
+        if len(self._keys) > self.capacity:
+            self._remove(self._keys[-1])
         return True
 
 

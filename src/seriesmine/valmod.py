@@ -24,8 +24,8 @@ through one fold (``_fold``), which also feeds the motif-set ranking.
 
 One ski-rental rule picks, per length, between row recomputes and a full
 rescan. ``owed`` counts the rows recomputed since the last scan plus the
-floors the repair pass could still owe (those whose normalized floor
-undercuts the offset's current best, or whose offset is unpopulated). The
+floors the repair pass could still owe: those whose normalized floor
+undercuts the offset's current best, which is +inf while unpopulated. The
 hiding rows are recomputed when they fit the budget of one scan's rows
 minus ``owed``; then they and the length's owed floors join ``owed``. When
 they do not fit, or ``owed`` outgrows one scan's rows, the length is
@@ -52,20 +52,22 @@ class VALMP:
     """Best length-normalized nearest-neighbor match per offset, over all lengths seen.
 
     Parallel arrays: raw ``distances``, ``norm_distances`` (= distance *
-    sqrt(1/length)), winning ``lengths`` and neighbor ``indices``, plus a
-    ``populated`` mask (entries start unpopulated).
+    sqrt(1/length)), winning ``lengths`` and neighbor ``indices``. An empty
+    entry holds +inf, length 0 and neighbor -1; ``populated`` reads the finite norms.
     """
 
     def __init__(self, n_offsets: int):
-        self.n_offsets = n_offsets
         self.distances = np.full(n_offsets, np.inf)
         self.norm_distances = np.full(n_offsets, np.inf)
         self.lengths = np.zeros(n_offsets, dtype=np.int64)
         self.indices = np.full(n_offsets, -1, dtype=np.int64)
-        self.populated = np.zeros(n_offsets, dtype=bool)
+
+    @property
+    def populated(self) -> np.ndarray:
+        return np.isfinite(self.norm_distances)
 
     def __len__(self) -> int:
-        return self.n_offsets
+        return self.distances.shape[0]
 
 
 def update_valmp(valmp: VALMP, mp_values, ip, length: int, ranking=None) -> np.ndarray:
@@ -84,7 +86,8 @@ def _fold(valmp: VALMP, offs, dists, nbrs, lengths, ranking=None) -> np.ndarray:
     its bound (none above it can rank; an equal norm can win on length).
 
     An entry is replaced by a smaller normalized distance, or by an equal one
-    at a shorter length; unpopulated entries hold +inf, and NaN never wins.
+    at a shorter length. An empty entry holds +inf at length 0, so neither a
+    +inf nor a NaN offer ever wins, and every written norm is finite.
     ``offs`` must be distinct.
     """
     norm = dists * np.sqrt(1.0 / lengths)
@@ -92,7 +95,7 @@ def _fold(valmp: VALMP, offs, dists, nbrs, lengths, ranking=None) -> np.ndarray:
     better = (norm < held) | ((norm == held) & (lengths < valmp.lengths[offs]))
     offs, dists, nbrs, lengths, norm = (a[better] for a in (offs, dists, nbrs, lengths, norm))
     valmp.distances[offs], valmp.norm_distances[offs], valmp.lengths[offs] = dists, norm, lengths
-    valmp.indices[offs], valmp.populated[offs] = nbrs, True
+    valmp.indices[offs] = nbrs
     if ranking is not None:
         push = norm <= ranking.bound()
         for pair in zip(*(a[push].tolist() for a in (offs, nbrs, dists, lengths, norm))):
@@ -115,7 +118,7 @@ class SubMPResult:
     the hiding rows did not fit the budget; every non-valid row is then a floor."""
 
     b_best_m: bool
-    values: np.ndarray          # true profile value per row, NaN where unknown
+    values: np.ndarray          # true profile value per row, +inf where unknown
     indices: np.ndarray         # neighbor per row, -1 where unknown
     floor_rows: np.ndarray      # non-valid rows not recomputed
     floor_values: np.ndarray    # their thresholds
@@ -133,13 +136,13 @@ def compute_sub_mp(series: DataSeries, list_dp: PartialProfiles,
     a non-valid row could hide the motif when its threshold undercuts the
     smallest valid distance (+inf when no row is valid). Each recomputed row
     gets its true minimum and refreshed stored entries; the other non-valid
-    rows come back as floors. When the hiding rows do not fit, nothing is
-    recomputed and ``b_best_m`` is False.
+    rows come back as floors, and their values stay +inf. When the hiding
+    rows do not fit, nothing is recomputed and ``b_best_m`` is False.
     """
     best, best_nbr, thr = list_dp.step(new_length, 1)
     valid = best[:, 0] < thr
     min_dist_abs = np.min(best[valid, 0]) if valid.any() else np.inf
-    values = np.where(valid, best[:, 0], np.nan)
+    values = np.where(valid, best[:, 0], np.inf)
     indices = np.where(valid, best_nbr[:, 0], -1)
     nonvalid = np.isfinite(thr) & ~valid
     n_nonvalid = int(nonvalid.sum())
@@ -158,18 +161,11 @@ def compute_sub_mp(series: DataSeries, list_dp: PartialProfiles,
 
 def _written_motif(values: np.ndarray, indices: np.ndarray):
     """Smallest written value and its pair (reported as (min, max) offsets)."""
-    safe = np.where(np.isnan(values), np.inf, values)
-    a = int(np.argmin(safe))
-    if not np.isfinite(safe[a]):
+    a = int(np.argmin(values))
+    if not np.isfinite(values[a]):
         return None
     b = int(indices[a])
-    return min(a, b), max(a, b), float(safe[a])
-
-
-def _owed(valmp: VALMP, rows: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """Which normalized floors the repair pass could still rescan: those that
-    undercut the offset's best so far, or whose offset is unpopulated."""
-    return ~valmp.populated[rows] | (norm < valmp.norm_distances[rows])
+    return min(a, b), max(a, b), float(values[a])
 
 
 def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
@@ -194,9 +190,9 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
     """
     policy.validate_range(series, lmin, lmax)
 
+    fold = update_valmp
     if ranking is not None:   # imported here: motifsets imports this module
-        from .motifsets import update_valmp_for_motif_sets as _ms_update
-    fold = update_valmp if ranking is None else lambda *args: _ms_update(*args, ranking)
+        from .motifsets import update_valmp_for_motif_sets as fold
 
     valmp = VALMP(series.n - lmin + 1)
     partials = None   # no stored entries before the first scan
@@ -210,8 +206,8 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
             sub = compute_sub_mp(series, partials, length, n_dp - owed)
             counts = dict(n_valid=sub.n_valid, n_nonvalid=sub.n_nonvalid,
                           n_recomputed=sub.n_recomputed)
-            owed += sub.n_recomputed + np.count_nonzero(_owed(
-                valmp, sub.floor_rows, sub.floor_values * np.sqrt(1.0 / length)))
+            owed += sub.n_recomputed + np.count_nonzero(
+                sub.floor_values * np.sqrt(1.0 / length) < valmp.norm_distances[sub.floor_rows])
             if not sub.b_best_m or owed > n_dp:
                 reseed = "cost"
         if partials is None or reseed:
@@ -224,7 +220,7 @@ def valmod(series: DataSeries, lmin: int, lmax: int, p: int, *,
         else:
             values, indices = sub.values, sub.indices
             floors.append((length, sub.floor_rows, sub.floor_values))
-        fold(valmp, values, indices, length)
+        fold(valmp, values, indices, length, ranking)
         if trace is not None:
             trace.add_length(length, n_profiles=n_dp, motif=_written_motif(values, indices),
                              reseed=reseed, **counts)
@@ -256,7 +252,7 @@ def _repair(series, valmp, floors, ranking, trace):
     for r in range(int(rank.max(initial=-1)) + 1):
         ks = order[rank == r]
         bound = np.inf if ranking is None else ranking.bound()
-        ks = ks[_owed(valmp, rows[ks], norm[ks]) & (norm[ks] <= bound)]
+        ks = ks[(norm[ks] < valmp.norm_distances[rows[ks]]) & (norm[ks] <= bound)]
         offs, lens = rows[ks], lengths[ks]
         dist_min, nbr = np.empty(ks.shape[0]), np.empty(ks.shape[0], dtype=np.int64)
         for k, dist in _recompute(series, offs.tolist(), lens.tolist()):
@@ -275,7 +271,6 @@ def top_variable_length_motif(valmp: VALMP):
     """
     if not valmp.populated.any():
         raise UnpopulatedError("no populated entries")
-    norm = np.where(valmp.populated, valmp.norm_distances, np.inf)
-    i = int(np.argmin(norm))   # first minimum = smallest offset
+    i = int(np.argmin(valmp.norm_distances))   # first minimum = smallest offset
     return (i, int(valmp.indices[i]), int(valmp.lengths[i]),
             float(valmp.distances[i]), float(valmp.norm_distances[i]))

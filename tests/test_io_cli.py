@@ -179,6 +179,34 @@ def test_mp_subcommand(series_file, tmp_path):
     assert doc["schema_version"] == 1
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["motifs", "--lmin", "8", "--lmax", "12", "--p", "5"], "motifs"),
+    (["motif-sets", "--lmin", "8", "--lmax", "12", "--p", "5", "--top-k", "3"], "motif-sets"),
+    (["discords", "--lmin", "8", "--lmax", "12", "--p", "5"], "discords"),
+    (["mp", "--length", "8", "--p", "5"], "mp"),
+    (["oracle", "motifs", "--lmin", "8", "--lmax", "12"], "oracle-motifs"),
+    (["oracle", "discords", "--lmin", "8", "--lmax", "12"], "oracle-discords"),
+])
+def test_every_document_names_its_command_and_times_its_run(series_file, tmp_path, argv,
+                                                            command):
+    out = tmp_path / "doc.json"
+    assert main(argv + ["--input", series_file, "--output", str(out)]) == 0
+    doc = _load(out)
+    assert (doc["command"], doc["schema_version"], doc["series_length"]) == (command, 1, 400)
+    wall = doc["timing"]["wall_seconds"]
+    assert isinstance(wall, float) and np.isfinite(wall) and wall >= 0.0
+
+
+def test_an_error_inside_a_run_writes_no_document(series_file, tmp_path, capsys):
+    # one check before the engine runs, one inside it
+    out = tmp_path / "doc.json"
+    for argv in (["motif-sets", "--lmin", "8", "--lmax", "12", "-D", "0"],
+                 ["motifs", "--lmin", "8", "--lmax", "398"]):
+        assert main(argv + ["--input", series_file, "--output", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("mine: validation error:")
+        assert not out.exists()
+
+
 def test_validation_exit_code_names_constraint(series_file, capsys):
     rc = main(["discords", "--input", series_file, "--lmin", "16", "--lmax", "24",
                "--k", "1", "--m", "3", "--p", "2"])

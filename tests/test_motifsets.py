@@ -57,6 +57,33 @@ def test_bound_is_inf_until_full_then_never_rises(capacity, pushes):
             assert not landed and ranking._keys == keys
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(capacity=st.integers(1, 6),
+       pushes=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(4, 6),
+                                 st.sampled_from([0.1, 0.2, 0.3])),
+                       max_size=40))
+def test_ranking_equals_a_best_key_per_pair_model(capacity, pushes):
+    # reference: the best landed key per canonical pair, the worst evicted
+    # past capacity; a push lands exactly when it changes the reference
+    ranking, ref = PairRanking(capacity), {}
+    for a, b, length, norm in pushes:
+        key = (norm, length, min(a, b), max(a, b))
+        before = dict(ref)
+        if key < ref.get(key[2:], (np.inf,)):
+            ref[key[2:]] = key
+            if len(ref) > capacity:
+                del ref[max(ref, key=ref.get)]
+        assert ranking.push(a, b, norm * np.sqrt(length), length, norm) == (ref != before)
+        assert [p.key for p in ranking] == sorted(ref.values())
+        assert len(ranking) == len(ref)
+        assert all(((i, j) in ranking) == ((min(i, j), max(i, j)) in ref)
+                   for i in range(10) for j in range(10))
+        assert ranking.bound() == (max(ref.values())[0] if len(ref) >= capacity else np.inf)
+        for p in ranking:
+            assert (p.norm_distance, p.length, p.off1, p.off2) == ref[(p.off1, p.off2)]
+            assert p.distance == p.norm_distance * np.sqrt(p.length)
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(kind=st.sampled_from(["walk", "repeats", "sine"]), seed=st.integers(0, 2**31 - 1),
        top_k=st.sampled_from([1, 3, 10, 40]), p=st.sampled_from([2, 5, 10]),

@@ -126,6 +126,11 @@ def test_fold_pushes_exactly_the_improved_entries():
     update_valmp_for_motif_sets(v, np.array([4.0, 2.0, np.inf, 1.0]),
                                 np.array([2, 3, -1, 1]), 16, rec)
     assert rec.pushed == [(0, 2, 4.0, 16, 1.0), (1, 3, 2.0, 16, 0.5), (3, 1, 1.0, 16, 0.25)]
+    # neither that +inf offer nor a NaN one fills offset 2's empty entry
+    assert _fold(v, np.array([2]), np.array([np.nan]), np.array([0]), np.array([16]),
+                 rec).tolist() == []
+    assert (v.distances[2], v.lengths[2], v.indices[2], v.populated[2]) == (np.inf, 0, -1, False)
+    assert len(rec.pushed) == 3
     # at length 64: offset 0 improves, 1 ties (the shorter entry stays), 2 is
     # new, 3 is worse
     rec.pushed.clear()
@@ -175,7 +180,7 @@ def test_compute_sub_mp_all_valid_case():
     assert sub.n_recomputed == 0
     from seriesmine.oracle import naive_profile
     mp_o, _ = naive_profile(t, 25)
-    written = ~np.isnan(sub.values)
+    written = np.isfinite(sub.values)
     assert np.allclose(sub.values[written], mp_o[written], atol=1e-7)
 
 
@@ -187,7 +192,7 @@ def test_compute_sub_mp_recomputed_rows_match_oracle():
     for length in range(17, 33):
         sub = compute_sub_mp(t, partials, length, 2)
         mp_o, _ = naive_profile(t, length)
-        written = ~np.isnan(sub.values)
+        written = np.isfinite(sub.values)
         assert np.allclose(sub.values[written], mp_o[written], atol=1e-7), length
         if not sub.b_best_m:
             res = compute_matrix_profile(t, length, 2)
@@ -203,7 +208,7 @@ def test_valid_rows_always_match_oracle_rows():
     for length in range(13, 41):
         sub = compute_sub_mp(t, partials, length, 3)
         mp_o, _ = naive_profile(t, length)
-        written = np.flatnonzero(~np.isnan(sub.values))
+        written = np.flatnonzero(np.isfinite(sub.values))
         for i in written:
             assert sub.values[i] == pytest.approx(mp_o[i], abs=1e-7), (length, i)
         if not sub.b_best_m:
@@ -463,7 +468,7 @@ def _sequential_repair(series, valmp, floors, ranking, recomputed):
         if (not valmp.populated[i] or cand_norm < valmp.norm_distances[i]
                 or (cand_norm == valmp.norm_distances[i] and length < valmp.lengths[i])):
             valmp.distances[i], valmp.norm_distances[i] = dist[j], cand_norm
-            valmp.lengths[i], valmp.indices[i], valmp.populated[i] = length, j, True
+            valmp.lengths[i], valmp.indices[i] = length, j
             if ranking is not None:
                 ranking.push(i, j, float(dist[j]), length, float(cand_norm))
 
@@ -526,7 +531,7 @@ def test_repair_tie_goes_to_the_shorter_length(held_length, replaced):
     j = int(np.argmin(dist))
     v = VALMP(t.n - 16 + 1)
     v.distances[i], v.norm_distances[i] = 1.0, dist[j] * np.sqrt(1.0 / length)
-    v.lengths[i], v.indices[i], v.populated[i] = held_length, 99, True
+    v.lengths[i], v.indices[i] = held_length, 99
     module._repair(t, v, [(length, np.array([i]), np.array([0.0]))], None, None)
     expected = (dist[j], length, j) if replaced else (1.0, held_length, 99)
     assert (v.distances[i], v.lengths[i], v.indices[i]) == expected
@@ -617,8 +622,9 @@ def test_top_motif_tie_breaks_to_smaller_offset():
 
 
 def test_top_motif_unpopulated():
-    with pytest.raises(UnpopulatedError):
-        sm.top_variable_length_motif(VALMP(4))
+    for n_offsets in (4, 0):
+        with pytest.raises(UnpopulatedError):
+            sm.top_variable_length_motif(VALMP(n_offsets))
 
 
 def test_top_motif_pure_noise_equals_oracle():
